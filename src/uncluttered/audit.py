@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
-from multiprocessing import Pool
 
 from .census import enumerate_graphs
 from .chromatic import chromatic_number_exact, color_uncluttered, is_proper_coloring
@@ -80,9 +78,7 @@ def audit_one(g6: str, suites: tuple[str, ...]) -> dict:
     g = from_graph6(g6)
     n = g.n
     gc = g.complement()
-    witness = is_uncluttered(g)
-    uncl = witness is None
-    record = {"n": n, "g6": g6, "uncluttered": uncl, "case": None,
+    record = {"n": n, "g6": g6, "uncluttered": None, "case": None,
               "checked": [], "fails": [], "ratio": None}
 
     prime = None
@@ -101,8 +97,13 @@ def audit_one(g6: str, suites: tuple[str, ...]) -> dict:
             if not verify_certificate(g, cert):
                 record["fails"].append("main-theorem")
         except TheoremViolationError:
+            # classify raises only after finding g uncluttered
             record["case"] = "THEOREM_VIOLATION"
             record["fails"].append("main-theorem")
+        uncl = record["case"] != "NOT_UNCLUTTERED"
+    else:
+        uncl = is_uncluttered(g) is None
+    record["uncluttered"] = uncl
 
     if "chi-bound" in suites and n <= SUITE_CAPS["chi-bound"] and uncl:
         record["checked"].append("chi-bound")
@@ -161,18 +162,18 @@ def audit_one(g6: str, suites: tuple[str, ...]) -> dict:
     return record
 
 
-@dataclass
 class AuditReport:
-    n_max: int
-    suites: tuple[str, ...]
-    graphs_scanned: int = 0
-    per_n: dict = field(default_factory=dict)
-    uncluttered_count: int = 0
-    case_histogram: dict = field(default_factory=dict)
-    suite_results: dict = field(default_factory=dict)
-    max_ratio: tuple[int, int] | None = None
-    max_ratio_graph6: str | None = None
-    wall_seconds: float = 0.0
+    def __init__(self, n_max: int, suites: tuple[str, ...]):
+        self.n_max = n_max
+        self.suites = suites
+        self.graphs_scanned = 0
+        self.per_n: dict = {}
+        self.uncluttered_count = 0
+        self.case_histogram: dict = {}
+        self.suite_results: dict = {}
+        self.max_ratio: tuple[int, int] | None = None
+        self.max_ratio_graph6: str | None = None
+        self.wall_seconds = 0.0
 
     @property
     def failed(self) -> bool:
@@ -251,6 +252,7 @@ def audit(n_max: int, suites=None, jobs: int = 1, graphs=None,
     if jobs <= 1:
         _merge(report, (audit_one(g6, suites) for g6 in work))
     else:
+        from multiprocessing import Pool  # only parallel runs pay its import
         chunk = max(1, len(work) // (jobs * 8))
         with Pool(jobs) as pool:
             _merge(report, pool.imap(_Worker(suites), work, chunksize=chunk))

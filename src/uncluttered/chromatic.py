@@ -16,7 +16,7 @@ under twenty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, NotUnclutteredError, TheoremViolationError
 from .graph import Graph, _mask_to_tuple
@@ -26,8 +26,7 @@ from .patterns import is_uncluttered
 from .structure import is_triangle_free, line_graph, recognize_line_graph_triangle_free
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A proper vertex coloring with its contiguous palette size and the
     clique number it was measured against."""
     colors: tuple[int, ...]
@@ -40,8 +39,7 @@ class Coloring:
                 "omega": self.omega_used}
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(NamedTuple):
     """A proper edge coloring; assignment maps (a, b) with a < b to a color."""
     assignment: dict
     num_colors: int

@@ -10,7 +10,7 @@ no state with the classifier beyond the basic graph predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DepthLimitError, InputError, NotUnclutteredError, TheoremViolationError
 from .graph import Graph
@@ -41,8 +41,7 @@ CASE_ORDER = (
 ALL_CASES = ("NOT_UNCLUTTERED", "SMALL") + CASE_ORDER
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     case: str
     payload: object
 
@@ -151,8 +150,7 @@ def _verify(g: Graph, cert: Certificate) -> bool:
 # -- recursive decomposition ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionTree:
+class DecompositionTree(NamedTuple):
     graph: Graph
     certificate: Certificate
     children: tuple["DecompositionTree", ...]

@@ -89,8 +89,11 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = self.full_mask
-        return Graph.from_rows(tuple((full ^ self.adj[u]) & ~(1 << u) & full
-                                     for u in range(self.n)))
+        # A list, not a generator: tuple() of a generator allocates a guessed
+        # size and resizes, which slowly fills CPython's per-size tuple free
+        # lists and raises the process's resident memory over a long run.
+        return Graph.from_rows([(full ^ self.adj[u]) & ~(1 << u) & full
+                                for u in range(self.n)])
 
     def induced(self, vs: Iterable[int]) -> "Graph":
         """Subgraph induced on ``vs``, relabeled to 0..k-1 in ascending order."""
@@ -172,12 +175,14 @@ def _as_mask(g: Graph, vs: Iterable[int]) -> int:
 
 def is_clique(g: Graph, vs: Iterable[int]) -> bool:
     """True iff the vertices are pairwise adjacent (empty and singleton count)."""
-    mask = _as_mask(g, vs)
+    return _is_clique_mask(g.adj, _as_mask(g, vs))
+
+
+def _is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:
     m = mask
     while m:
         low = m & -m
-        v = low.bit_length() - 1
-        if mask & ~g.adj[v] & ~low:
+        if mask & ~adj[low.bit_length() - 1] & ~low:
             return False
         m ^= low
     return True

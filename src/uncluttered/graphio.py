@@ -60,6 +60,9 @@ def from_graph6(line: str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise InputError(f"graph6 body has {len(body)} bytes, expected {expect}")
+    order = _EDGE_ORDER_CACHE.get(n)
+    if order is None:
+        order = _EDGE_ORDER_CACHE[n] = _edge_order(n)
     rows = [0] * n
     idx = 0
     for byte in body:
@@ -71,7 +74,7 @@ def from_graph6(line: str) -> Graph:
                     raise InputError("noncanonical graph6: nonzero padding bits")
                 continue
             if bit:
-                u, v = _EDGE_ORDER_CACHE.setdefault(n, _edge_order(n))[idx]
+                u, v = order[idx]
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
             idx += 1

@@ -8,22 +8,20 @@ own finders because two of the theorem's cases quantify over them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Graph, _mask_to_tuple
 
 
-@dataclass(frozen=True)
-class HomogeneousSet:
+class HomogeneousSet(NamedTuple):
     """A nontrivial homogeneous set plus the forced outside split."""
     members: tuple[int, ...]
     complete_side: tuple[int, ...]
     anticomplete_side: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TwinPair:
+class TwinPair(NamedTuple):
     u: int
     v: int
     adjacent: bool

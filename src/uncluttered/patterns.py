@@ -4,7 +4,12 @@ A graph is "uncluttered" when it has no induced fork (a P4 plus an extra leaf
 on the path's second vertex) and no induced antifork (the fork's complement).
 This module builds those and the other fixed patterns the structure theory
 keeps reaching for, finds induced embeddings of arbitrary small patterns, and
-decides unclutteredness by a single scan over 5-vertex subsets.
+decides unclutteredness.
+
+Membership is decided by a bitset search for forks in g and in its
+complement (an antifork of g is a fork of the complement), polynomial in n.
+Only a graph that holds a fork or an antifork pays for the ascending scan
+over 5-vertex subsets, which picks the lexicographically least witness.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, _is_clique_mask
 
 PATTERN_NAMES = ("fork", "antifork", "claw", "anticlaw", "diamond",
                  "bull", "net", "antinet", "P4", "triangle")
@@ -174,13 +179,42 @@ def has_induced(g: Graph, name: str) -> bool:
     return False
 
 
+def _has_fork(adj: tuple[int, ...]) -> bool:
+    """True iff the graph with these adjacency rows has an induced fork.
+
+    A fork is a centre b with an inner leaf c, a tail d on c, and two outer
+    leaves.  For c in N(b), the outer leaves must come from A = N(b) - N[c];
+    for d in N(c) - N[b] they must also miss d, so a fork exists iff some
+    A - N(d) holds two nonadjacent vertices.
+    """
+    for b, nb in enumerate(adj):
+        cs = nb
+        while cs:
+            low_c = cs & -cs
+            cs ^= low_c
+            rc = adj[low_c.bit_length() - 1]
+            outer = nb & ~rc & ~low_c
+            if not outer & (outer - 1) or _is_clique_mask(adj, outer):
+                continue
+            tails = rc & ~nb & ~(1 << b)
+            while tails:
+                low_d = tails & -tails
+                tails ^= low_d
+                s = outer & ~adj[low_d.bit_length() - 1]
+                if s & (s - 1) and not _is_clique_mask(adj, s):
+                    return True
+    return False
+
+
 def is_uncluttered(g: Graph) -> PatternWitness | None:
     """None iff g has no induced fork or antifork; otherwise a witness.
 
-    Scans 5-subsets in ascending order, checking fork before antifork within
-    each subset, so the returned witness is deterministic.
+    The witness is the one an ascending scan over 5-subsets meets first,
+    checking fork before antifork within each subset, so it is the
+    lexicographically least and deterministic.  That scan runs only after
+    the bitset search has found a fork or an antifork.
     """
-    if g.n < 5:
+    if g.n < 5 or not (_has_fork(g.adj) or _has_fork(g.complement().adj)):
         return None
     fork_codes = _codes("fork")
     antifork_codes = _codes("antifork")

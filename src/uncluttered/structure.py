@@ -7,23 +7,22 @@ union of the Z's.  A graph is candled when some induced candelabrum has its
 base complete to, and the rest of the candelabrum anticomplete to, everything
 else.
 
-For line graphs the only roots this package ever needs are triangle-free, and
-those line graphs have a clean recognition: they are exactly the graphs with
-no induced claw and no induced diamond.  Under those two exclusions the set
-N(u) and N(v) share around an edge uv spans a clique, the cliques K(u,v)
-partition the edges with every vertex in at most two of them, and the root
-read off that partition can never contain a triangle.  The test suite checks
-this equivalence against an exhaustive oracle rather than taking it on faith.
+For line graphs the only roots this package ever needs are triangle-free.
+Their line graphs are exactly the graphs with no induced claw and no induced
+diamond, and on those the Krausz cliques K(u,v) = {u, v} + (N(u) & N(v))
+partition the edges with every vertex in at most two of them.  Recognition
+builds that root directly (Krausz 1943; Roussopoulos 1973) and keeps it only
+if it is triangle-free and verify_root maps g onto its line graph, so every
+root returned proves its own claim.  The test suite checks that the roots
+appear exactly on the claw- and diamond-free graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Graph, _mask_to_tuple, is_bipartite
-from .patterns import has_induced
 
 # -- triangle-free and line graphs -----------------------------------------
 
@@ -62,8 +61,7 @@ def line_graph(h: Graph) -> Graph:
     return Graph.from_rows(tuple(rows))
 
 
-@dataclass(frozen=True)
-class RootGraph:
+class RootGraph(NamedTuple):
     """A root whose line graph is the host, with the witnessing bijection.
 
     ``edge_map[w]`` is the root edge (a, b) with a < b that host vertex w
@@ -105,12 +103,12 @@ def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
     """Root reconstruction for line graphs of triangle-free graphs.
 
     Returns None iff g is not the line graph of any triangle-free graph.
-    The happy path builds one Krausz clique K(u,v) per edge, deduplicates,
-    hangs a pendant root vertex on every once-covered host vertex, and gives
-    every isolated host vertex a private root edge.
+    Builds one Krausz clique K(u,v) per edge, deduplicates, hangs a pendant
+    root vertex on every once-covered host vertex, and gives every isolated
+    host vertex a private root edge.  The root is kept only if every host
+    vertex lies in at most two cliques, no two host vertices share a root
+    edge, the root is triangle-free and verify_root accepts it.
     """
-    if has_induced(g, "claw") or has_induced(g, "diamond"):
-        return None
     cliques: list[int] = []
     seen: set[int] = set()
     for u in range(g.n):
@@ -129,13 +127,12 @@ def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
         for w in _mask_to_tuple(mask):
             cover[w].append(idx)
             if len(cover[w]) > 2:
-                raise RuntimeError(
-                    "Krausz partition failed on a claw- and diamond-free "
-                    "graph; this contradicts the recognizer's premise")
+                return None
     # Root vertices: one per clique, then pendants and isolated-edge ends.
+    # A root may exceed the host's 64-vertex cap (a path on 64 vertices has
+    # a 65-vertex root), so its rows are built here and wrapped directly.
     next_vertex = len(cliques)
     edge_map: list[tuple[int, int]] = []
-    root_edges: list[tuple[int, int]] = []
     for w in range(g.n):
         cs = cover[w]
         if len(cs) == 2:
@@ -147,13 +144,16 @@ def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
             e = (next_vertex, next_vertex + 1)
             next_vertex += 2
         edge_map.append(e)
-        root_edges.append(e)
-    if len(set(root_edges)) != len(root_edges):
-        raise RuntimeError(
-            "two host vertices mapped to one root edge; this contradicts "
-            "edge-disjointness of Krausz cliques")
-    root = Graph(next_vertex, root_edges)
-    return RootGraph(root, tuple(edge_map))
+    rows = [0] * next_vertex
+    for a, b in edge_map:
+        if rows[a] >> b & 1:
+            return None
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    rg = RootGraph(Graph.from_rows(tuple(rows)), tuple(edge_map))
+    if is_triangle_free(rg.root) is not None or not verify_root(g, rg):
+        return None
+    return rg
 
 
 def is_line_graph_of_bipartite(g: Graph) -> bool:
@@ -170,8 +170,7 @@ def is_line_graph_of_bipartite(g: Graph) -> bool:
 # -- candelabra -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandelabrumStructure:
+class CandelabrumStructure(NamedTuple):
     """A validated candelabrum partition: parallel clique and stable parts."""
     clique_parts: tuple[tuple[int, ...], ...]
     stable_parts: tuple[tuple[int, ...], ...]
@@ -360,8 +359,7 @@ def recognize_candelabrum(g: Graph) -> CandelabrumStructure | None:
 # -- candled decompositions -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandledDecomposition:
+class CandledDecomposition(NamedTuple):
     """An induced candelabrum plus the rest of the graph.
 
     The candelabrum's base is complete to the rest and the remaining

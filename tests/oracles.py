@@ -38,6 +38,56 @@ def naive_has_induced(pattern_g, host):
     return naive_find_induced(pattern_g, host) is not None
 
 
+FORK_EDGES = ((0, 1), (1, 2), (2, 3), (1, 4))
+
+
+def _least_ordered_embedding(g, sub, fork):
+    """Least ordering of sub that induces the fork (or, if not fork, the
+    antifork) with pattern vertex i played by the i-th entry."""
+    for tup in permutations(sub):
+        if all(g.has_edge(tup[i], tup[j]) == (((i, j) in FORK_EDGES) == fork)
+               for i, j in combinations(range(5), 2)):
+            return tup
+    return None
+
+
+def subset_scan_uncluttered(g):
+    """The first fork or antifork met scanning 5-subsets in ascending order.
+
+    Returns ("fork" | "antifork", embedding) with the fork tried before the
+    antifork inside each subset and the least ordering of the subset that
+    induces it, or None when g has neither.  The edge count (4 for the fork,
+    6 for the antifork) and the degree multiset (3,2,1,1,1 and its
+    complement 1,2,3,3,3) are isomorphism invariants, so they only skip
+    subsets that cannot match; the permutation search decides the rest.
+    """
+    adj, n = g.adj, g.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            m2 = 1 << a | 1 << b
+            e2 = adj[a] >> b & 1
+            for c in range(b + 1, n):
+                m3 = m2 | 1 << c
+                e3 = e2 + (adj[c] & m3).bit_count()
+                for d in range(c + 1, n):
+                    m4 = m3 | 1 << d
+                    e4 = e3 + (adj[d] & m4).bit_count()
+                    for e in range(d + 1, n):
+                        edges = e4 + (adj[e] & m4).bit_count()
+                        if edges != 4 and edges != 6:
+                            continue
+                        sub = (a, b, c, d, e)
+                        m5 = m4 | 1 << e
+                        degrees = sorted((adj[v] & m5).bit_count() for v in sub)
+                        for name, fork, want in (("fork", True, [1, 1, 1, 2, 3]),
+                                                 ("antifork", False, [1, 2, 3, 3, 3])):
+                            if degrees == want:
+                                emb = _least_ordered_embedding(g, sub, fork)
+                                if emb is not None:
+                                    return name, emb
+    return None
+
+
 def naive_triangle_free(g):
     return all(not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c))
                for a, b, c in combinations(range(g.n), 3))

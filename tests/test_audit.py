@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import uncluttered as U
@@ -33,6 +35,23 @@ def test_audit_one_record_shape():
     assert rec["uncluttered"] is False
     assert rec["case"] == "NOT_UNCLUTTERED"
     assert rec["ratio"] is None
+
+
+def test_audit_one_reads_membership_off_the_certificate(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return U.is_uncluttered(g)
+
+    # the package's `audit` function shadows the submodule of that name
+    monkeypatch.setattr(sys.modules["uncluttered.audit"], "is_uncluttered", counting)
+    assert audit_one("Dhc", ALL_SUITES)["uncluttered"] is True
+    assert audit_one("DhO", ALL_SUITES)["uncluttered"] is False
+    assert calls == []
+    assert audit_one("Dhc", ("chi-bound",))["uncluttered"] is True
+    assert audit_one("DhO", ("chi-bound",))["uncluttered"] is False
+    assert len(calls) == 2
 
 
 def test_audit_four_report_is_byte_frozen():

@@ -59,6 +59,22 @@ def test_classify_line_graph_cases():
     assert cert.case == "LINEGRAPH_TF" and cert.payload.root.n == 11
 
 
+def test_path_on_64_vertices_has_a_65_vertex_root():
+    """The root of a host at the 64-vertex cap may itself exceed the cap."""
+    g = U.path_graph(64)
+    cert = U.classify(g)
+    assert cert.case == "LINEGRAPH_TF" and cert.payload.root.n == 65
+    assert cert.payload.root.edges() == sorted(
+        [(i, i + 1) for i in range(62)] + [(0, 63), (62, 64)])
+    assert U.verify_certificate(g, cert)
+    assert certificate_json(cert)["payload"]["root_n"] == 65
+    tree = U.decomposition_tree(g)
+    assert tree.certificate == cert and tree.children == ()
+    coloring = U.color_uncluttered(g)
+    assert U.is_proper_coloring(g, coloring.colors)
+    assert coloring.num_colors == 2 and coloring.omega_used == 2
+
+
 def test_classify_candled_cases():
     g = U.from_graph6("G?bF]{")
     cert = U.classify(g)

@@ -2,8 +2,16 @@ import pytest
 
 import uncluttered as U
 from uncluttered import Graph, InputError
+from uncluttered.patterns import _has_fork
 
-from oracles import naive_find_induced, random_graph
+from oracles import (
+    compose_candled,
+    naive_find_induced,
+    random_candelabrum,
+    random_connected_triangle_free,
+    random_graph,
+    subset_scan_uncluttered,
+)
 
 EXPECTED_EDGES = {
     "fork": [(0, 1), (1, 2), (1, 4), (2, 3)],
@@ -114,3 +122,63 @@ def test_uncluttered_is_complement_closed(census):
                 assert {a.pattern_name, b.pattern_name} <= {"fork", "antifork"}
                 assert a.holds_in(g)
                 assert b.holds_in(g.complement())
+
+
+def _agrees_with_subset_scan(g):
+    w = U.is_uncluttered(g)
+    got = None if w is None else (w.pattern_name, w.embedding)
+    assert got == subset_scan_uncluttered(g), U.to_graph6(g)
+    return w is None
+
+
+def test_uncluttered_agrees_with_subset_scan_on_random_graphs(rng):
+    members = 0
+    for _ in range(400):
+        n = rng.randint(5, 12)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7, 0.85))
+        members += _agrees_with_subset_scan(random_graph(rng, n, p))
+    assert 0 < members < 400
+
+
+def test_uncluttered_agrees_with_subset_scan_on_the_census(census):
+    for n in range(5, 8):
+        for g in census[n]:
+            _agrees_with_subset_scan(g)
+            # a false positive of the bitset search would only cost a scan,
+            # so check it on its own as well
+            assert _has_fork(g.adj) == U.has_induced(g, "fork"), U.to_graph6(g)
+
+
+def _line_graph_member(rng, m):
+    """Line graph of m edges of a random triangle-free graph."""
+    while True:
+        root = random_connected_triangle_free(rng, rng.randint(m // 2, m))
+        if root.edge_count() >= m:
+            return U.line_graph(Graph(root.n, rng.sample(root.edges(), m)))
+
+
+def _plus_one_vertex(rng, g):
+    """g with one more vertex on a random neighbourhood, labels shuffled."""
+    n = g.n + 1
+    edges = g.edges() + [(v, g.n) for v in range(g.n) if rng.random() < 0.3]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def test_uncluttered_agrees_with_subset_scan_on_large_members(rng):
+    """Members built by line graph, complement and candled composition, and
+    near-members one vertex away from them, with up to 64 vertices."""
+    members = [_line_graph_member(rng, m) for m in (16, 24, 40, 64)]
+    for rest_n in (16, 24, 32):
+        cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
+        rest = _line_graph_member(rng, rest_n)
+        members.append(compose_candled(rest, cand, [v for z in zs for v in z]))
+    members += [g.complement() for g in members]
+    near = 0
+    for g in members:
+        assert g.n <= 64
+        assert _agrees_with_subset_scan(g)
+        if g.n < 64:
+            near += not _agrees_with_subset_scan(_plus_one_vertex(rng, g))
+    assert near >= len(members) // 2

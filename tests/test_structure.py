@@ -102,6 +102,17 @@ def test_recognizer_matches_exhaustive_root_enumeration():
             assert got == want, U.to_graph6(host)
 
 
+def test_recognizer_accepts_exactly_the_claw_and_diamond_free_census(census):
+    for n in range(8):
+        for g in census[n]:
+            rg = U.recognize_line_graph_triangle_free(g)
+            want = not (U.has_induced(g, "claw") or U.has_induced(g, "diamond"))
+            assert (rg is not None) == want, U.to_graph6(g)
+            if rg is not None:
+                assert U.verify_root(g, rg)
+                assert U.is_triangle_free(rg.root) is None
+
+
 def test_bipartite_root_refinement():
     assert is_line_graph_of_bipartite(U.complete_graph(3))
     assert is_line_graph_of_bipartite(U.cycle_graph(6))
