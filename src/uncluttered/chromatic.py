@@ -73,36 +73,33 @@ def is_proper_edge_coloring(h: Graph, assignment: dict) -> bool:
 
 def max_clique(g: Graph) -> tuple[int, ...]:
     """One maximum clique, via branch and bound with a greedy coloring bound."""
-    adj = g.adj
-    best = 0
+    return _mask_to_tuple(_expand_clique(g.adj, 0, 0, g.full_mask, 0))
 
-    def expand(r: int, r_size: int, p: int) -> None:
-        nonlocal best
-        if not p:
-            if r_size > best.bit_count():
-                best = r
-            return
-        # Order p by greedy coloring; color index bounds the clique extension.
-        order: list[tuple[int, int]] = []
-        q = p
-        color = 0
-        while q:
-            color += 1
-            avail = q
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                order.append((v, color))
-                avail &= ~adj[v] & ~low
-                q &= ~low
-        for v, color in reversed(order):
-            if r_size + color <= best.bit_count():
-                return
-            expand(r | 1 << v, r_size + 1, p & adj[v])
-            p &= ~(1 << v)
 
-    expand(0, 0, g.full_mask)
-    return _mask_to_tuple(best)
+def _expand_clique(adj: tuple[int, ...], r: int, r_size: int, p: int,
+                   best: int) -> int:
+    """Best clique mask after searching the extensions of r by p."""
+    if not p:
+        return r if r_size > best.bit_count() else best
+    # Order p by greedy coloring; color index bounds the clique extension.
+    order: list[tuple[int, int]] = []
+    q = p
+    color = 0
+    while q:
+        color += 1
+        avail = q
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            order.append((v, color))
+            avail &= ~adj[v] & ~low
+            q &= ~low
+    for v, color in reversed(order):
+        if r_size + color <= best.bit_count():
+            return best
+        best = _expand_clique(adj, r | 1 << v, r_size + 1, p & adj[v], best)
+        p &= ~(1 << v)
+    return best
 
 
 def clique_number(g: Graph) -> int:
@@ -132,27 +129,29 @@ def _colorable(g: Graph, k: int, seed: tuple[int, ...]) -> bool:
         colors[v] = i
     rest = sorted((v for v in range(g.n) if colors[v] < 0),
                   key=lambda v: (-g.degree(v), v))
+    return _extend_coloring(g, k, rest, colors, 0, len(seed))
 
-    def dfs(i: int, used: int) -> bool:
-        if i == len(rest):
+
+def _extend_coloring(g: Graph, k: int, rest: list[int], colors: list[int],
+                     i: int, used: int) -> bool:
+    """Color rest[i:] in place with at most k colors, ``used`` open so far."""
+    if i == len(rest):
+        return True
+    v = rest[i]
+    taken = 0
+    for w in g.neighbors(v):
+        if colors[w] >= 0:
+            taken |= 1 << colors[w]
+    # New color classes are opened in ascending order only.
+    limit = min(used + 1, k)
+    for c in range(limit):
+        if taken >> c & 1:
+            continue
+        colors[v] = c
+        if _extend_coloring(g, k, rest, colors, i + 1, max(used, c + 1)):
             return True
-        v = rest[i]
-        taken = 0
-        for w in g.neighbors(v):
-            if colors[w] >= 0:
-                taken |= 1 << colors[w]
-        # New color classes are opened in ascending order only.
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if taken >> c & 1:
-                continue
-            colors[v] = c
-            if dfs(i + 1, max(used, c + 1)):
-                return True
-        colors[v] = -1
-        return False
-
-    return dfs(0, len(seed))
+    colors[v] = -1
+    return False
 
 
 def chromatic_number_exact(g: Graph) -> int:

@@ -5,6 +5,12 @@ is set iff u and v are adjacent, which keeps neighborhood algebra (complement,
 induced subgraphs, component sweeps) down to a handful of integer operations.
 All set-valued results come back as ascending tuples, and list-valued results
 are ordered by smallest member, so downstream output is reproducible.
+
+The private mask kernels (clique, stable, complete, anticomplete, component
+sweep, and the complete/anticomplete/mixed split of outside vertices) take
+rows and vertex masks.  They are the one implementation of each check: the
+public predicates validate input and call them, and the other layers call
+them on parts of a graph in its own labels.
 """
 
 from __future__ import annotations
@@ -114,37 +120,16 @@ class Graph:
 
     # -- connectivity -----------------------------------------------------
 
-    def _component_masks(self) -> list[int]:
-        adj = self.adj
-        left = self.full_mask
-        comps = []
-        while left:
-            seed = left & -left
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    nxt |= adj[low.bit_length() - 1]
-                    m ^= low
-                frontier = nxt & left & ~comp
-                comp |= frontier
-            comps.append(comp)
-            left &= ~comp
-        return comps
-
     def components(self) -> list[tuple[int, ...]]:
         """Vertex sets of connected components, ordered by smallest member."""
-        return [_mask_to_tuple(m) for m in self._component_masks()]
+        return [_mask_to_tuple(m) for m in _component_masks(self.adj, self.full_mask)]
 
     def anticomponents(self) -> list[tuple[int, ...]]:
         """Components of the complement, same ordering convention."""
         return self.complement().components()
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self._component_masks()) == 1
+        return self.n <= 1 or len(_component_masks(self.adj, self.full_mask)) == 1
 
     def is_anticonnected(self) -> bool:
         return self.complement().is_connected()
@@ -159,6 +144,85 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
+
+
+# -- bitmask kernels ------------------------------------------------------
+
+
+def _is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:
+    m = mask
+    while m:
+        low = m & -m
+        if mask & ~adj[low.bit_length() - 1] & ~low:
+            return False
+        m ^= low
+    return True
+
+
+def _is_complete_mask(adj: tuple[int, ...], a: int, b: int) -> bool:
+    """True iff every vertex of a is adjacent to every vertex of b."""
+    m = a
+    while m:
+        low = m & -m
+        if b & ~adj[low.bit_length() - 1]:
+            return False
+        m ^= low
+    return True
+
+
+def _is_anticomplete_mask(adj: tuple[int, ...], a: int, b: int) -> bool:
+    """True iff no edge joins a to b."""
+    m = a
+    while m:
+        low = m & -m
+        if b & adj[low.bit_length() - 1]:
+            return False
+        m ^= low
+    return True
+
+
+def _is_stable_mask(adj: tuple[int, ...], mask: int) -> bool:
+    return _is_anticomplete_mask(adj, mask, mask)
+
+
+def _component_masks(adj: tuple[int, ...], within: int) -> list[int]:
+    """Components of the subgraph induced on ``within``, by smallest member."""
+    left = within
+    comps = []
+    while left:
+        seed = left & -left
+        comp = seed
+        frontier = seed
+        while frontier:
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= adj[low.bit_length() - 1]
+                m ^= low
+            frontier = nxt & left & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def _sides(adj: tuple[int, ...], within: int, x: int) -> tuple[int, int, int]:
+    """Split ``within`` (disjoint from x) into the vertices complete to x,
+    anticomplete to x, and mixed on x; with x empty all count as complete."""
+    comp = anti = mixed = 0
+    m = within
+    while m:
+        low = m & -m
+        row = adj[low.bit_length() - 1]
+        if not x & ~row:
+            comp |= low
+        elif row & x:
+            mixed |= low
+        else:
+            anti |= low
+        m ^= low
+    return comp, anti, mixed
 
 
 # -- vertex-set predicates ------------------------------------------------
@@ -178,26 +242,9 @@ def is_clique(g: Graph, vs: Iterable[int]) -> bool:
     return _is_clique_mask(g.adj, _as_mask(g, vs))
 
 
-def _is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:
-    m = mask
-    while m:
-        low = m & -m
-        if mask & ~adj[low.bit_length() - 1] & ~low:
-            return False
-        m ^= low
-    return True
-
-
 def is_stable(g: Graph, vs: Iterable[int]) -> bool:
     """True iff the vertices are pairwise nonadjacent."""
-    mask = _as_mask(g, vs)
-    m = mask
-    while m:
-        low = m & -m
-        if g.adj[low.bit_length() - 1] & mask:
-            return False
-        m ^= low
-    return True
+    return _is_stable_mask(g.adj, _as_mask(g, vs))
 
 
 def is_complete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
@@ -208,13 +255,7 @@ def is_complete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     am, bm = _as_mask(g, a), _as_mask(g, b)
     if am & bm:
         raise InputError("sets overlap")
-    m = am
-    while m:
-        low = m & -m
-        if bm & ~g.adj[low.bit_length() - 1]:
-            return False
-        m ^= low
-    return True
+    return _is_complete_mask(g.adj, am, bm)
 
 
 def is_anticomplete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
@@ -222,13 +263,7 @@ def is_anticomplete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> boo
     am, bm = _as_mask(g, a), _as_mask(g, b)
     if am & bm:
         raise InputError("sets overlap")
-    m = am
-    while m:
-        low = m & -m
-        if bm & g.adj[low.bit_length() - 1]:
-            return False
-        m ^= low
-    return True
+    return _is_anticomplete_mask(g.adj, am, bm)
 
 
 def is_dominating(g: Graph, vs: Iterable[int]) -> bool:

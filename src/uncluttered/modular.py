@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError
-from .graph import Graph, _mask_to_tuple
+from .graph import Graph, _is_clique_mask, _is_stable_mask, _mask_to_tuple, _sides
 
 
 class HomogeneousSet(NamedTuple):
@@ -31,21 +31,11 @@ class TwinPair(NamedTuple):
 def _closure_mask(g: Graph, seed: int) -> int:
     """Smallest homogeneous set containing the seed mask, by saturation."""
     x = seed
-    changed = True
-    while changed:
-        changed = False
-        outside = g.full_mask & ~x
-        grab = 0
-        while outside:
-            low = outside & -outside
-            row = g.adj[low.bit_length() - 1]
-            if row & x and x & ~row:
-                grab |= low
-            outside ^= low
-        if grab:
-            x |= grab
-            changed = True
-    return x
+    while True:
+        mixed = _sides(g.adj, g.full_mask & ~x, x)[2]
+        if not mixed:
+            return x
+        x |= mixed
 
 
 def smallest_module_containing(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -71,16 +61,7 @@ def find_nontrivial_homogeneous_set(g: Graph) -> HomogeneousSet | None:
         for v in range(u + 1, g.n):
             x = _closure_mask(g, 1 << u | 1 << v)
             if x != full:
-                comp = 0
-                anti = 0
-                outside = full & ~x
-                while outside:
-                    low = outside & -outside
-                    if g.adj[low.bit_length() - 1] & x:
-                        comp |= low
-                    else:
-                        anti |= low
-                    outside ^= low
+                comp, anti, _ = _sides(g.adj, full & ~x, x)
                 return HomogeneousSet(_mask_to_tuple(x), _mask_to_tuple(comp),
                                       _mask_to_tuple(anti))
     return None
@@ -88,26 +69,12 @@ def find_nontrivial_homogeneous_set(g: Graph) -> HomogeneousSet | None:
 
 def is_simplicial(g: Graph, v: int) -> bool:
     """True iff the neighborhood of v is a clique (isolated vertices count)."""
-    nb = g.adj[v]
-    m = nb
-    while m:
-        low = m & -m
-        if nb & ~g.adj[low.bit_length() - 1] & ~low:
-            return False
-        m ^= low
-    return True
+    return _is_clique_mask(g.adj, g.adj[v])
 
 
 def is_antisimplicial(g: Graph, v: int) -> bool:
     """True iff the non-neighbors of v form a stable set (universal counts)."""
-    non = g.full_mask & ~g.adj[v] & ~(1 << v)
-    m = non
-    while m:
-        low = m & -m
-        if g.adj[low.bit_length() - 1] & non:
-            return False
-        m ^= low
-    return True
+    return _is_stable_mask(g.adj, g.full_mask & ~g.adj[v] & ~(1 << v))
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:

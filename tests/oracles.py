@@ -7,7 +7,7 @@ function and an oracle disagree, the oracle wins and the package is wrong.
 
 from itertools import combinations, permutations
 
-from uncluttered import Graph
+from uncluttered import CandelabrumStructure, CandledDecomposition, Graph
 from uncluttered.graph import are_isomorphic, invariant_key
 
 
@@ -129,8 +129,9 @@ def triangle_free_rootless_by_edges(max_edges):
     return levels
 
 
-def oracle_candelabrum_with_base(g, base):
-    """Decide from the definition whether g is a candelabrum with this base.
+def oracle_candelabrum_parts(g, base):
+    """(clique_parts, stable_parts) of g as a candelabrum with this base, or
+    None, decided from the definition.
 
     The parts are forced: the clique parts must be the connected components
     of the non-base (each a clique), and each stable part must be exactly the
@@ -138,7 +139,7 @@ def oracle_candelabrum_with_base(g, base):
     """
     base = set(base)
     if not base or base == set(range(g.n)):
-        return False
+        return None
     outside = [v for v in range(g.n) if v not in base]
     # components of g restricted to the non-base
     comps = []
@@ -156,42 +157,76 @@ def oracle_candelabrum_with_base(g, base):
         seen |= comp
         comps.append(sorted(comp))
     if not comps:
-        return False
+        return None
     zs = []
     for comp in comps:
         if any(not g.has_edge(a, b) for a, b in combinations(comp, 2)):
-            return False
+            return None
         attached = {b for b in base if any(g.has_edge(b, v) for v in comp)}
         if not attached:
-            return False
+            return None
         if any(not g.has_edge(b, v) for b in attached for v in comp):
-            return False
+            return None
         zs.append(attached)
     covered = set()
     for z in zs:
         if covered & z:
-            return False
+            return None
         covered |= z
     if covered != base:
-        return False
+        return None
     for z in zs:
         if any(g.has_edge(a, b) for a, b in combinations(sorted(z), 2)):
-            return False
+            return None
     for i, zi in enumerate(zs):
         for j in range(i + 1, len(zs)):
             if any(not g.has_edge(a, b) for a in zi for b in zs[j]):
-                return False
+                return None
             if any(g.has_edge(a, b) for a in comps[i] for b in zs[j]):
-                return False
+                return None
             if any(g.has_edge(a, b) for a in comps[j] for b in zi):
-                return False
-    return True
+                return None
+    return (tuple(tuple(c) for c in comps), tuple(tuple(sorted(z)) for z in zs))
+
+
+def oracle_candelabrum_with_base(g, base):
+    """Decide from the definition whether g is a candelabrum with this base."""
+    return oracle_candelabrum_parts(g, base) is not None
 
 
 def oracle_is_candelabrum(g):
     """Exponential scan over every candidate base subset."""
     return any(oracle_candelabrum_with_base(g, [v for v in range(g.n) if mask >> v & 1])
                for mask in range(1, 1 << g.n))
+
+
+def exhaustive_candled(g):
+    """Some candled decomposition of g, trying every rest set, or None.
+
+    Outside a nonempty rest R, every vertex must be complete to R (a base
+    vertex) or anticomplete to it (a clique-part vertex), so R fixes the
+    base; with R empty every base is tried.  The body must then be a
+    candelabrum with that base.  Exponential in n: small graphs only.
+    """
+    n = g.n
+    for rest_mask in range(1 << n):
+        rest = [v for v in range(n) if rest_mask >> v & 1]
+        body = [v for v in range(n) if not rest_mask >> v & 1]
+        if rest:
+            base = [v for v in body if all(g.has_edge(v, r) for r in rest)]
+            candles = [v for v in body if not any(g.has_edge(v, r) for r in rest)]
+            if len(base) + len(candles) != len(body):
+                continue
+            bases = [base]
+        else:
+            bases = [[v for v in body if mask >> v & 1] for mask in range(1, 1 << n)]
+        sub = g.induced(body)
+        for base in bases:
+            parts = oracle_candelabrum_parts(sub, [body.index(v) for v in base])
+            if parts is not None:
+                ys, zs = (tuple(tuple(body[i] for i in p) for p in side) for side in parts)
+                return CandledDecomposition(CandelabrumStructure(ys, zs), tuple(rest))
+    return None
 
 
 def random_graph(rng, n, p):

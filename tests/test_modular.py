@@ -3,7 +3,7 @@ import pytest
 import uncluttered as U
 from uncluttered import Graph, InputError
 
-from oracles import random_graph
+from oracles import exhaustive_candled, random_graph
 
 
 def is_homogeneous(g, members):
@@ -145,7 +145,7 @@ def test_prime_uncluttered_filter_implies_no_module(uncluttered_census):
                 continue
             if U.find_adjacent_simplicial_twins(g) or U.find_adjacent_simplicial_twins(gc):
                 continue
-            if U.detect_candled(g, exhaustive=True) or U.detect_candled(gc, exhaustive=True):
+            if exhaustive_candled(g) or exhaustive_candled(gc):
                 continue
             checked += 1
             assert U.find_nontrivial_homogeneous_set(g) is None, U.to_graph6(g)

@@ -4,9 +4,11 @@ import uncluttered as U
 from uncluttered import Graph, InputError
 from uncluttered.graph import invariant_key
 from uncluttered.modular import find_adjacent_simplicial_twins
-from uncluttered.structure import RootGraph, is_line_graph_of_bipartite
+from uncluttered.structure import RootGraph, _candelabrum_on, is_line_graph_of_bipartite
 
 from oracles import (
+    compose_candled,
+    exhaustive_candled,
     oracle_candelabrum_with_base,
     oracle_is_candelabrum,
     random_candelabrum,
@@ -237,11 +239,43 @@ def test_verify_candled_rejects_corruption():
         dec.rest[2:])
     assert not U.verify_candled(g, moved)
     assert not U.verify_candled(U.complete_graph(8), dec)
+    ys, zs, rest = cs.clique_parts, cs.stable_parts, dec.rest
+    malformed = [
+        (ys, zs[:1], rest),                            # unequal part counts
+        (ys + ((),), zs + ((),), rest),                # empty parts
+        (((ys[0][0], zs[0][0]),) + ys[1:], zs, rest),  # overlapping parts
+        (ys, zs, rest + (8,)),                         # vertex out of range
+        (ys, zs, rest + (-1,)),
+        (ys, zs, rest + (zs[0][0],)),                  # rest overlaps the body
+        ((), (), tuple(range(8))),                     # no parts at all
+    ]
+    for y, z, r in malformed:
+        assert not U.verify_candled(g, U.CandledDecomposition(U.CandelabrumStructure(y, z), r))
+
+
+def test_candelabrum_on_matches_induce_and_relabel(census):
+    """Checking a body in place gives what inducing it, recognizing with the
+    local base and mapping the parts back gives, for every body and base."""
+    for n in range(1, 7):
+        for g in census[n]:
+            for body in range(1, 1 << n):
+                vs = [v for v in range(n) if body >> v & 1]
+                sub = g.induced(vs)
+                base = body
+                while True:
+                    st = U.recognize_candelabrum_with_base(
+                        sub, [i for i, v in enumerate(vs) if base >> v & 1])
+                    want = None if st is None else U.CandelabrumStructure(
+                        *(tuple(tuple(vs[i] for i in p) for p in side) for side in st))
+                    assert _candelabrum_on(g, body, base) == want, (U.to_graph6(g), body, base)
+                    if not base:
+                        break
+                    base = (base - 1) & body
 
 
 def test_exhaustive_mode_finds_planted_compositions(census, rng):
-    """Small random candled plants are always found in exhaustive mode."""
-    from oracles import compose_candled
+    """Small random candled plants are always found by the exhaustive
+    oracle, and verify_candled accepts what it finds."""
     pool = [g for n in range(3) for g in census[n]]
     for _ in range(60):
         cand, ys, zs = random_candelabrum(rng, max_k=2, max_part=2)
@@ -249,14 +283,9 @@ def test_exhaustive_mode_finds_planted_compositions(census, rng):
         if cand.n + rest.n > 10:
             continue
         g = compose_candled(rest, cand, [v for z in zs for v in z])
-        dec = U.detect_candled(g, exhaustive=True)
+        dec = exhaustive_candled(g)
         assert dec is not None
         assert U.verify_candled(g, dec)
-
-
-def test_exhaustive_mode_is_capped():
-    with pytest.raises(InputError):
-        U.detect_candled(U.edgeless_graph(11), exhaustive=True)
 
 
 def test_production_detector_known_misses():
@@ -268,7 +297,7 @@ def test_production_detector_known_misses():
         g = U.from_graph6(s)
         h = g.complement() if side == "co" else g
         assert U.detect_candled(h) is None
-        assert U.detect_candled(h, exhaustive=True) is not None
+        assert exhaustive_candled(h) is not None
         cert = U.classify(g)
         assert cert.case not in ("CANDLED", "ANTI_CANDLED", "NOT_UNCLUTTERED")
         assert U.verify_certificate(g, cert)
@@ -298,7 +327,7 @@ def test_production_detector_is_exact_where_the_classifier_needs_it():
     for g in reachable[8]:
         for h in (g, g.complement()):
             fast = U.detect_candled(h)
-            full = U.detect_candled(h, exhaustive=True)
+            full = exhaustive_candled(h)
             assert (fast is None) == (full is None)
             if fast is not None:
                 assert U.verify_candled(h, fast)
