@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 from itertools import combinations
 
 from .census import enumerate_graphs
@@ -259,7 +260,7 @@ def audit(n_max: int, suites=None, jobs: int = 1, graphs=None,
         from multiprocessing import Pool  # only parallel runs pay its import
         chunk = max(1, len(work) // (jobs * 8))
         with Pool(jobs) as pool:
-            _merge(report, pool.imap(_Worker(suites), work, chunksize=chunk))
+            _merge(report, pool.imap(partial(audit_one, suites=suites), work, chunksize=chunk))
     report.wall_seconds = time.monotonic() - t0
     return report
 
@@ -290,12 +291,3 @@ def _merge(report: AuditReport, records) -> None:
                 report.max_ratio_graph6 = rec["g6"]
     report.max_ratio = best
 
-
-class _Worker:
-    """Picklable callable binding the suite selection for pool workers."""
-
-    def __init__(self, suites: tuple[str, ...]):
-        self.suites = suites
-
-    def __call__(self, g6: str) -> dict:
-        return audit_one(g6, self.suites)

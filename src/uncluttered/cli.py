@@ -61,53 +61,43 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _cmd_classify(args) -> int:
+def _each_graph(args, result) -> int:
+    """One JSON line per input graph: an error line for a malformed graph
+    (exit code 2 at the end), the witness line for a graph ``result``
+    rejects with NotUnclutteredError, else the label followed by the keys of
+    ``result(g)``."""
     bad = False
     for label, g, err in _iter_graphs(args):
         if err is not None:
             _emit({"graph6": label, "error": err})
             bad = True
             continue
-        cert = classify(g)
-        _emit({"graph6": label,
-               "uncluttered": cert.case != "NOT_UNCLUTTERED",
-               "certificate": certificate_json(cert)})
+        try:
+            out = result(g)
+        except NotUnclutteredError as exc:
+            out = {"uncluttered": False, "witness": _witness_json(exc.witness)}
+        _emit({"graph6": label, **out})
     return 2 if bad else 0
+
+
+def _classify_json(g) -> dict:
+    cert = classify(g)
+    return {"uncluttered": cert.case != "NOT_UNCLUTTERED",
+            "certificate": certificate_json(cert)}
+
+
+def _cmd_classify(args) -> int:
+    return _each_graph(args, _classify_json)
 
 
 def _cmd_color(args) -> int:
-    bad = False
-    for label, g, err in _iter_graphs(args):
-        if err is not None:
-            _emit({"graph6": label, "error": err})
-            bad = True
-            continue
-        try:
-            coloring = color_uncluttered(g)
-        except NotUnclutteredError as exc:
-            _emit({"graph6": label, "uncluttered": False,
-                   "witness": _witness_json(exc.witness)})
-            continue
-        _emit({"graph6": label, "uncluttered": True,
-               "coloring": coloring.to_json_dict()})
-    return 2 if bad else 0
+    return _each_graph(args, lambda g: {
+        "uncluttered": True, "coloring": color_uncluttered(g).to_json_dict()})
 
 
 def _cmd_decompose(args) -> int:
-    bad = False
-    for label, g, err in _iter_graphs(args):
-        if err is not None:
-            _emit({"graph6": label, "error": err})
-            bad = True
-            continue
-        try:
-            tree = decomposition_tree(g)
-        except NotUnclutteredError as exc:
-            _emit({"graph6": label, "uncluttered": False,
-                   "witness": _witness_json(exc.witness)})
-            continue
-        _emit({"graph6": label, "uncluttered": True, "tree": tree_json(tree)})
-    return 2 if bad else 0
+    return _each_graph(args, lambda g: {
+        "uncluttered": True, "tree": tree_json(decomposition_tree(g))})
 
 
 def _cmd_encode(args) -> int:

@@ -1,11 +1,15 @@
 """Total classification of uncluttered graphs with re-verifiable certificates.
 
 Every uncluttered graph on at least two vertices falls to at least one of
-eight cases (four, each doubled by complementation): disconnected, adjacent
-simplicial twins, line graph of a triangle-free graph, or candled.  classify
-tests them in a fixed documented order and returns the first hit together
-with evidence; verify_certificate rechecks the evidence from scratch, sharing
-no state with the classifier beyond the basic graph predicates.
+eight cases: the four base cases of ``_CASES`` (disconnected, adjacent
+simplicial twins, line graph of a triangle-free graph, candled), each tried
+on g and then on its complement, where a hit is named with the ``ANTI_``
+prefix.  classify returns the first hit in that order together with
+evidence; verify_certificate rechecks the evidence from scratch, sharing no
+state with the classifier beyond the basic graph predicates, and reads an
+``ANTI_`` case as the base case on the complement.  decomposition_tree
+recognizes membership once, at its root: the class is hereditary, so every
+node below is a member and is only split.
 """
 
 from __future__ import annotations
@@ -28,16 +32,8 @@ from .structure import (
     verify_root,
 )
 
-CASE_ORDER = (
-    "DISCONNECTED",
-    "ANTI_DISCONNECTED",
-    "SIMPLICIAL_TWINS",
-    "ANTI_SIMPLICIAL_TWINS",
-    "LINEGRAPH_TF",
-    "ANTI_LINEGRAPH_TF",
-    "CANDLED",
-    "ANTI_CANDLED",
-)
+_CASES = ("DISCONNECTED", "SIMPLICIAL_TWINS", "LINEGRAPH_TF", "CANDLED")
+CASE_ORDER = tuple(c for case in _CASES for c in (case, "ANTI_" + case))
 ALL_CASES = ("NOT_UNCLUTTERED", "SMALL") + CASE_ORDER
 
 
@@ -57,33 +53,42 @@ def classify(g: Graph) -> Certificate:
     witness = is_uncluttered(g)
     if witness is not None:
         return Certificate("NOT_UNCLUTTERED", witness)
+    return _member_case(g)
+
+
+def _member_case(g: Graph) -> Certificate:
+    """classify for a graph already known to be uncluttered.
+
+    Each case is tried on g and then on its complement, whose hit is named
+    with the ANTI_ prefix; the complement is built only once g is known to
+    be connected.
+    """
     if g.n <= 1:
         return Certificate("SMALL", None)
-    if not g.is_connected():
-        return Certificate("DISCONNECTED", tuple(g.components()))
-    gc = g.complement()
-    if not gc.is_connected():
-        return Certificate("ANTI_DISCONNECTED", tuple(gc.components()))
-    pair = find_adjacent_simplicial_twins(g)
-    if pair is not None:
-        return Certificate("SIMPLICIAL_TWINS", (pair.u, pair.v))
-    pair = find_adjacent_simplicial_twins(gc)
-    if pair is not None:
-        return Certificate("ANTI_SIMPLICIAL_TWINS", (pair.u, pair.v))
-    rg = recognize_line_graph_triangle_free(g)
-    if rg is not None:
-        return Certificate("LINEGRAPH_TF", rg)
-    rg = recognize_line_graph_triangle_free(gc)
-    if rg is not None:
-        return Certificate("ANTI_LINEGRAPH_TF", rg)
-    dec = detect_candled(g)
-    if dec is not None:
-        return Certificate("CANDLED", dec)
-    dec = detect_candled(gc)
-    if dec is not None:
-        return Certificate("ANTI_CANDLED", dec)
+    gc = None
+    for case in _CASES:
+        payload = _find(case, g)
+        if payload is not None:
+            return Certificate(case, payload)
+        if gc is None:
+            gc = g.complement()
+        payload = _find(case, gc)
+        if payload is not None:
+            return Certificate("ANTI_" + case, payload)
     raise TheoremViolationError(
         f"uncluttered graph {to_graph6(g)!r} matched no decomposition case")
+
+
+def _find(case: str, h: Graph) -> object:
+    """Evidence that h is in the base case, or None."""
+    if case == "DISCONNECTED":
+        return None if h.is_connected() else tuple(h.components())
+    if case == "SIMPLICIAL_TWINS":
+        pair = find_adjacent_simplicial_twins(h)
+        return None if pair is None else (pair.u, pair.v)
+    if case == "LINEGRAPH_TF":
+        return recognize_line_graph_triangle_free(h)
+    return detect_candled(h)
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
@@ -111,39 +116,24 @@ def _verify(g: Graph, cert: Certificate) -> bool:
         return payload.holds_in(g)
     if case == "SMALL":
         return payload is None and g.n <= 1
+    if case.startswith("ANTI_"):
+        case = case[len("ANTI_"):]
+        g = g.complement()
     if case == "DISCONNECTED":
         return tuple(payload) == tuple(g.components()) and len(payload) >= 2
-    if case == "ANTI_DISCONNECTED":
-        anti = tuple(g.complement().components())
-        return tuple(payload) == anti and len(payload) >= 2
     if case == "SIMPLICIAL_TWINS":
         u, v = payload
         return (0 <= u < v < g.n and g.has_edge(u, v)
                 and are_twins(g, u, v)
                 and is_simplicial(g, u) and is_simplicial(g, v))
-    if case == "ANTI_SIMPLICIAL_TWINS":
-        u, v = payload
-        gc = g.complement()
-        return (0 <= u < v < g.n and gc.has_edge(u, v)
-                and are_twins(gc, u, v)
-                and is_simplicial(gc, u) and is_simplicial(gc, v))
     if case == "LINEGRAPH_TF":
         if not isinstance(payload, RootGraph):
             return False
         return verify_root(g, payload) and is_triangle_free(payload.root) is None
-    if case == "ANTI_LINEGRAPH_TF":
-        if not isinstance(payload, RootGraph):
-            return False
-        gc = g.complement()
-        return verify_root(gc, payload) and is_triangle_free(payload.root) is None
     if case == "CANDLED":
         if not isinstance(payload, CandledDecomposition):
             return False
         return verify_candled(g, payload)
-    if case == "ANTI_CANDLED":
-        if not isinstance(payload, CandledDecomposition):
-            return False
-        return verify_candled(g.complement(), payload)
     return False
 
 
@@ -163,29 +153,37 @@ def decomposition_tree(g: Graph, depth_limit: int | None = None) -> Decompositio
     on a strictly smaller induced subgraph; SMALL, the two line-graph cases,
     and pure candelabra (candled with empty rest) are leaves.  A candled node
     with a nonempty rest carries the candelabrum part as an explicit leaf
-    child ahead of the rest's subtree.
+    child ahead of the rest's subtree.  Membership is recognized once, at the
+    root: every node below is an induced subgraph of g, and the class is
+    hereditary.
     """
     if depth_limit is None:
         depth_limit = 2 * g.n + 2
+    if depth_limit > 0:  # an exhausted budget raises before recognition
+        witness = is_uncluttered(g)
+        if witness is not None:
+            raise NotUnclutteredError(witness)
+    return _member_tree(g, depth_limit)
+
+
+def _member_tree(g: Graph, depth_limit: int) -> DecompositionTree:
     if depth_limit <= 0:
         raise DepthLimitError("decomposition recursion exceeded its depth budget")
-    cert = classify(g)
-    case = cert.case
-    if case == "NOT_UNCLUTTERED":
-        raise NotUnclutteredError(cert.payload)
+    cert = _member_case(g)
+    case = cert.case.removeprefix("ANTI_")
     children: list[DecompositionTree] = []
-    if case in ("DISCONNECTED", "ANTI_DISCONNECTED"):
+    if case == "DISCONNECTED":
         for part in cert.payload:
-            children.append(decomposition_tree(g.induced(part), depth_limit - 1))
-    elif case in ("SIMPLICIAL_TWINS", "ANTI_SIMPLICIAL_TWINS"):
+            children.append(_member_tree(g.induced(part), depth_limit - 1))
+    elif case == "SIMPLICIAL_TWINS":
         u = cert.payload[0]
         rest = [w for w in range(g.n) if w != u]
-        children.append(decomposition_tree(g.induced(rest), depth_limit - 1))
-    elif case in ("CANDLED", "ANTI_CANDLED"):
+        children.append(_member_tree(g.induced(rest), depth_limit - 1))
+    elif case == "CANDLED":
         dec = cert.payload
         if dec.rest:
-            children.append(_candelabrum_leaf(g, case, dec))
-            children.append(decomposition_tree(g.induced(dec.rest), depth_limit - 1))
+            children.append(_candelabrum_leaf(g, cert.case, dec))
+            children.append(_member_tree(g.induced(dec.rest), depth_limit - 1))
     return DecompositionTree(g, cert, tuple(children))
 
 
@@ -215,15 +213,16 @@ def certificate_payload_json(cert: Certificate) -> dict:
                 "embedding": list(payload.embedding)}
     if case == "SMALL":
         return {}
-    if case in ("DISCONNECTED", "ANTI_DISCONNECTED"):
+    kind = case.removeprefix("ANTI_")
+    if kind == "DISCONNECTED":
         return {"parts": [list(p) for p in payload]}
-    if case in ("SIMPLICIAL_TWINS", "ANTI_SIMPLICIAL_TWINS"):
+    if kind == "SIMPLICIAL_TWINS":
         return {"u": payload[0], "v": payload[1]}
-    if case in ("LINEGRAPH_TF", "ANTI_LINEGRAPH_TF"):
+    if kind == "LINEGRAPH_TF":
         return {"root_n": payload.root.n,
                 "root_edges": [list(e) for e in payload.root.edges()],
                 "edge_map": [list(e) for e in payload.edge_map]}
-    if case in ("CANDLED", "ANTI_CANDLED"):
+    if kind == "CANDLED":
         st = payload.candelabrum
         return {"clique_parts": [list(p) for p in st.clique_parts],
                 "stable_parts": [list(p) for p in st.stable_parts],

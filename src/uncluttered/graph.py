@@ -381,33 +381,31 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(hc[v], []).append(v)
+    return _extend(g, h, order, gc, by_color, [-1] * n, 0, 0)
 
-    mapping = [-1] * n
-    used = 0
 
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        u = order[i]
-        for v in by_color.get(gc[u], ()):
-            if used >> v & 1:
-                continue
-            ok = True
-            for j in range(i):
-                if g.has_edge(u, order[j]) != h.has_edge(v, mapping[order[j]]):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used |= 1 << v
-                if extend(i + 1):
-                    return True
-                used &= ~(1 << v)
-                mapping[u] = -1
-        return False
-
-    return extend(0)
+def _extend(g: Graph, h: Graph, order: list[int], colors: list[int],
+            by_color: dict[int, list[int]], mapping: list[int],
+            i: int, used: int) -> bool:
+    """Extend the mapping of order[:i], whose images are the bits of used,
+    to an isomorphism from g to h that maps each vertex into its own
+    refinement class; True (with mapping filled) iff one exists."""
+    if i == g.n:
+        return True
+    u = order[i]
+    for v in by_color.get(colors[u], ()):
+        if used >> v & 1:
+            continue
+        ok = True
+        for j in range(i):
+            if g.has_edge(u, order[j]) != h.has_edge(v, mapping[order[j]]):
+                ok = False
+                break
+        if ok:
+            mapping[u] = v
+            if _extend(g, h, order, colors, by_color, mapping, i + 1, used | 1 << v):
+                return True
+    return False
 
 
 def invariant_key(g: Graph) -> tuple:

@@ -9,12 +9,16 @@ decides unclutteredness.
 Membership is decided by a bitset search for forks in g and in its
 complement (an antifork of g is a fork of the complement), polynomial in n.
 Only a graph that holds a fork or an antifork pays for the ascending scan
-over 5-vertex subsets, which picks the lexicographically least witness.
+over 5-vertex subsets, which picks the lexicographically least witness.  The
+scan needs no pattern tables: a 5-vertex graph is a fork exactly when its
+degrees are {3,2,1,1,1} and an antifork exactly when they are {1,2,3,3,3},
+and the least embedding is read off the fork's roles (centre, inner leaf,
+tail, two outer leaves), in the complement rows for an antifork.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import InputError
 from .graph import Graph, _is_clique_mask
@@ -87,96 +91,39 @@ def find_induced(pattern_graph: Graph, host: Graph,
     Assigns pattern vertices 0,1,... in order, trying host vertices in
     ascending order, so the first complete assignment found is the least one.
     """
-    k = pattern_graph.n
-    if k > host.n:
+    if pattern_graph.n > host.n:
         return None
-    pdeg = [pattern_graph.degree(i) for i in range(k)]
-    image = [0] * k
-    used = 0
-
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == k:
-            return True
-        for v in range(host.n):
-            if used >> v & 1 or host.degree(v) < pdeg[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if host.has_edge(v, image[j]) != pattern_graph.has_edge(i, j):
-                    ok = False
-                    break
-            if ok:
-                image[i] = v
-                used |= 1 << v
-                if place(i + 1):
-                    return True
-                used &= ~(1 << v)
-        return False
-
-    if place(0):
+    pdeg = [pattern_graph.degree(i) for i in range(pattern_graph.n)]
+    image = [0] * pattern_graph.n
+    if _place(pattern_graph, host, pdeg, image, 0, 0):
         return PatternWitness(name, pattern_graph, tuple(image))
     return None
 
 
-# -- subset-code scanning --------------------------------------------------
-#
-# For a k-subset taken in ascending order, the induced subgraph is summarized
-# as an integer with one bit per vertex pair, pairs in lexicographic order.
-# Membership of that code in a precomputed set of all labeled codes of a
-# pattern decides "this subset induces the pattern" with no inner search.
-
-_PAIRS = {k: tuple(combinations(range(k), 2)) for k in (3, 4, 5, 6)}
-
-
-def _subset_code(g: Graph, sub: tuple[int, ...]) -> int:
-    code = 0
-    for bit, (a, b) in enumerate(_PAIRS[len(sub)]):
-        if g.adj[sub[a]] >> sub[b] & 1:
-            code |= 1 << bit
-    return code
-
-
-def _labeled_codes(p: Graph) -> dict[int, tuple[int, ...]]:
-    """Map every labeled code of the pattern to its least placement.
-
-    The placement tuple says which subset position plays each pattern vertex,
-    so a witness embedding can be read off a matching subset directly.
-    """
-    k = p.n
-    out: dict[int, tuple[int, ...]] = {}
-    for perm in permutations(range(k)):
-        # perm maps pattern vertex -> subset position; positions (a, b) are
-        # adjacent in the labeled copy iff their preimages are adjacent.
-        inv = [0] * k
-        for pv, pos in enumerate(perm):
-            inv[pos] = pv
-        code = 0
-        for bit, (a, b) in enumerate(_PAIRS[k]):
-            if p.has_edge(inv[a], inv[b]):
-                code |= 1 << bit
-        if code not in out:
-            out[code] = perm
-    return out
-
-
-_CODES_CACHE: dict[str, dict[int, tuple[int, ...]]] = {}
-
-
-def _codes(name: str) -> dict[int, tuple[int, ...]]:
-    if name not in _CODES_CACHE:
-        _CODES_CACHE[name] = _labeled_codes(pattern(name))
-    return _CODES_CACHE[name]
+def _place(p: Graph, host: Graph, pdeg: list[int], image: list[int],
+           i: int, used: int) -> bool:
+    """Extend image[:i], whose host vertices are the bits of used, to a full
+    induced embedding of p; True (with image filled) iff one exists."""
+    if i == p.n:
+        return True
+    for v in range(host.n):
+        if used >> v & 1 or host.degree(v) < pdeg[i]:
+            continue
+        ok = True
+        for j in range(i):
+            if host.has_edge(v, image[j]) != p.has_edge(i, j):
+                ok = False
+                break
+        if ok:
+            image[i] = v
+            if _place(p, host, pdeg, image, i + 1, used | 1 << v):
+                return True
+    return False
 
 
 def has_induced(g: Graph, name: str) -> bool:
     """True iff the named pattern embeds in g as an induced subgraph."""
-    p = pattern(name)
-    table = _codes(name)
-    for sub in combinations(range(g.n), p.n):
-        if _subset_code(g, sub) in table:
-            return True
-    return False
+    return find_induced(pattern(name), g, name) is not None
 
 
 def _has_fork(adj: tuple[int, ...]) -> bool:
@@ -206,26 +153,51 @@ def _has_fork(adj: tuple[int, ...]) -> bool:
     return False
 
 
+# A 5-vertex graph is a fork exactly when its sorted degrees are (1,1,1,2,3),
+# and an antifork, the fork's complement, exactly when they are (1,2,3,3,3).
+_SIGNATURES = {(1, 1, 1, 2, 3): "fork", (1, 2, 3, 3, 3): "antifork"}
+
+
+def _fork_embedding(sub: tuple[int, ...], rows: list[int]) -> tuple[int, ...]:
+    """Least embedding of the fork into the 5 vertices sub, whose rows within
+    the subset induce one: (smaller outer leaf, centre, inner leaf, tail,
+    larger outer leaf).  Swapping the outer leaves is the fork's only
+    automorphism, so no other order is smaller."""
+    by_degree = {r.bit_count(): (v, r) for v, r in zip(sub, rows)}
+    b, rb = by_degree[3]
+    c, rc = by_degree[2]
+    d = (rc & ~(1 << b)).bit_length() - 1
+    outer = rb & ~(1 << c)
+    return ((outer & -outer).bit_length() - 1, b, c, d, outer.bit_length() - 1)
+
+
 def is_uncluttered(g: Graph) -> PatternWitness | None:
     """None iff g has no induced fork or antifork; otherwise a witness.
 
-    The witness is the one an ascending scan over 5-subsets meets first,
-    checking fork before antifork within each subset, so it is the
-    lexicographically least and deterministic.  That scan runs only after
-    the bitset search has found a fork or an antifork.
+    The witness comes from the first 5-subset, in ascending order, whose
+    sorted in-subset degrees are a fork's or an antifork's, so it is
+    deterministic; the embedding is read off the fork's roles (in the
+    complement within the subset for an antifork) and is the least one.
+    That scan runs only after the bitset search has found a fork or an
+    antifork.
     """
     if g.n < 5 or not (_has_fork(g.adj) or _has_fork(g.complement().adj)):
         return None
-    fork_codes = _codes("fork")
-    antifork_codes = _codes("antifork")
-    for sub in combinations(range(g.n), 5):
-        code = _subset_code(g, sub)
-        perm = fork_codes.get(code)
-        if perm is not None:
-            emb = tuple(sub[perm[i]] for i in range(5))
-            return PatternWitness("fork", pattern("fork"), emb)
-        perm = antifork_codes.get(code)
-        if perm is not None:
-            emb = tuple(sub[perm[i]] for i in range(5))
-            return PatternWitness("antifork", pattern("antifork"), emb)
+    adj = g.adj
+    for a, b, c, d in combinations(range(g.n), 4):
+        m4 = 1 << a | 1 << b | 1 << c | 1 << d
+        e4 = ((adj[a] & m4).bit_count() + (adj[b] & m4).bit_count()
+              + (adj[c] & m4).bit_count() + (adj[d] & m4).bit_count()) // 2
+        for e in range(d + 1, g.n):
+            # a fork has 4 edges and an antifork 6; skip the rest unsorted
+            if e4 + (adj[e] & m4).bit_count() not in (4, 6):
+                continue
+            sub = (a, b, c, d, e)
+            m = m4 | 1 << e
+            rows = [adj[v] & m for v in sub]
+            name = _SIGNATURES.get(tuple(sorted([r.bit_count() for r in rows])))
+            if name is not None:
+                if name == "antifork":
+                    rows = [m & ~r & ~(1 << v) for v, r in zip(sub, rows)]
+                return PatternWitness(name, pattern(name), _fork_embedding(sub, rows))
     return None

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .graph import (
+    MAX_VERTICES,
     Graph,
     _as_mask,
     _component_masks,
@@ -66,7 +67,8 @@ def line_graph(h: Graph) -> Graph:
     if not edges:
         raise InputError("line graph of an edgeless graph is undefined here")
     m = len(edges)
-    out = Graph(m)
+    if m > MAX_VERTICES:
+        raise InputError(f"line graph would have {m} vertices, above {MAX_VERTICES}")
     rows = [0] * m
     for i in range(m):
         a, b = edges[i]

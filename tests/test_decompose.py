@@ -123,6 +123,27 @@ def test_verify_rejects_cross_case_and_malformed():
     assert not U.verify_certificate(Graph(2), Certificate("SMALL", None))
 
 
+def test_verify_strips_one_anti_prefix_from_the_four_base_cases_only():
+    # each payload below proves its unprefixed claim
+    small = Graph(1)
+    assert U.verify_certificate(small, Certificate("SMALL", None))
+    assert not U.verify_certificate(small, Certificate("ANTI_SMALL", None))
+    fork = U.pattern("fork")
+    for g in (fork, fork.complement()):
+        cert = U.classify(g)
+        assert cert.case == "NOT_UNCLUTTERED" and U.verify_certificate(g, cert)
+        anti = Certificate("ANTI_NOT_UNCLUTTERED", cert.payload)
+        assert not U.verify_certificate(g, anti)
+        assert not U.verify_certificate(g.complement(), anti)
+    g = U.from_graph6("G?bF]{")
+    cert = U.classify(g)
+    assert cert.case == "CANDLED"
+    assert U.verify_certificate(g.complement(), Certificate("ANTI_CANDLED", cert.payload))
+    assert not U.verify_certificate(g, Certificate("ANTI_ANTI_CANDLED", cert.payload))
+    assert not U.verify_certificate(g.complement(), Certificate("ANTI_BOGUS", cert.payload))
+    assert not U.verify_certificate(g, Certificate("ANTI_BOGUS", cert.payload))
+
+
 def _mutate(rng, g, cert):
     """One random corruption of a certificate; never a no-op by value."""
     case, p = cert.case, cert.payload
@@ -299,6 +320,9 @@ def test_trees_build_for_every_uncluttered_graph_up_to_eight():
 def test_tree_depth_budget_and_errors():
     with pytest.raises(U.DepthLimitError):
         U.decomposition_tree(Graph(1), depth_limit=0)
+    # the budget is checked before membership
+    with pytest.raises(U.DepthLimitError):
+        U.decomposition_tree(U.pattern("fork"), depth_limit=0)
     with pytest.raises(U.DepthLimitError):
         U.decomposition_tree(U.path_graph(3), depth_limit=1)
     assert U.decomposition_tree(U.path_graph(3), depth_limit=3)
@@ -306,3 +330,24 @@ def test_tree_depth_budget_and_errors():
         U.decomposition_tree(U.pattern("fork"))
     assert exc.value.witness.pattern_name == "fork"
     assert "not uncluttered" in str(exc.value)
+
+
+def test_tree_recognizes_membership_once(monkeypatch):
+    import uncluttered.decompose as D
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return U.is_uncluttered(g)
+
+    monkeypatch.setattr(D, "is_uncluttered", counting)
+    t = U.decomposition_tree(U.path_graph(3))
+    assert _depth(t) >= 3
+    assert calls == [3]
+    calls.clear()
+    t = U.decomposition_tree(U.from_graph6("G?bF]{"))
+    assert _depth(t) >= 2 and calls == [8]
+    calls.clear()
+    with pytest.raises(U.NotUnclutteredError):
+        U.decomposition_tree(U.pattern("fork"))
+    assert calls == [5]

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 import uncluttered as U
@@ -7,6 +9,7 @@ from uncluttered.patterns import _has_fork
 from oracles import (
     compose_candled,
     naive_find_induced,
+    naive_has_induced,
     random_candelabrum,
     random_connected_triangle_free,
     random_graph,
@@ -75,11 +78,11 @@ def test_witness_validation_rejects_wrong_embeddings():
     assert not broken.holds_in(host)
 
 
-def test_has_induced_matches_find_induced(rng):
+def test_has_induced_matches_the_naive_search(rng):
     for _ in range(60):
         g = random_graph(rng, rng.randint(0, 8), rng.choice((0.25, 0.5, 0.75)))
         for name in U.PATTERN_NAMES:
-            assert U.has_induced(g, name) == (U.find_induced(U.pattern(name), g, name) is not None)
+            assert U.has_induced(g, name) == naive_has_induced(U.pattern(name), g), name
 
 
 def test_detection_agrees_with_brute_force_up_to_five(census):
@@ -129,6 +132,22 @@ def _agrees_with_subset_scan(g):
     got = None if w is None else (w.pattern_name, w.embedding)
     assert got == subset_scan_uncluttered(g), U.to_graph6(g)
     return w is None
+
+
+def test_uncluttered_agrees_with_subset_scan_on_every_labelled_five_vertex_graph():
+    """Every labelled graph on five vertices, so every assignment of the
+    fork's and the antifork's roles to vertex labels is met."""
+    pairs = list(combinations(range(5), 2))
+    forks = antiforks = 0
+    for mask in range(1 << len(pairs)):
+        g = Graph(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        if not _agrees_with_subset_scan(g):
+            name = U.is_uncluttered(g).pattern_name
+            forks += name == "fork"
+            antiforks += name == "antifork"
+    # 5!/2 labelled copies of each, the fork's only automorphism being the
+    # swap of its two outer leaves
+    assert forks == antiforks == 60
 
 
 def test_uncluttered_agrees_with_subset_scan_on_random_graphs(rng):

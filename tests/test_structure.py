@@ -33,6 +33,10 @@ def test_line_graph_shapes():
     assert U.line_graph(Graph(3, [(0, 2)])) == Graph(1)
     with pytest.raises(InputError):
         U.line_graph(U.edgeless_graph(3))
+    # K12 has 66 edges, over the 64-vertex cap
+    assert U.line_graph(U.complete_graph(11)).n == 55
+    with pytest.raises(InputError):
+        U.line_graph(U.complete_graph(12))
 
 
 def test_recognizer_on_known_hosts():
