@@ -14,7 +14,7 @@ import time
 from functools import partial
 from itertools import combinations
 
-from .census import enumerate_graphs
+from .census import MAX_CENSUS_N, enumerate_graphs
 from .chromatic import chromatic_number_exact, color_uncluttered, is_proper_coloring
 from .decompose import ALL_CASES, classify, verify_certificate
 from .errors import InputError, TheoremViolationError
@@ -136,15 +136,7 @@ def audit_one(g6: str, suites: tuple[str, ...]) -> dict:
     if ("claw-anticlaw" in suites and n <= SUITE_CAPS["claw-anticlaw"]
             and not has_induced(g, "claw") and not has_induced(g, "anticlaw")):
         record["checked"].append("claw-anticlaw")
-        ok = False
-        for h in (g, gc):
-            if _max_degree(h) <= 2:
-                ok = True
-                break
-            if h.n <= 9 and is_line_graph_of_bipartite(h):
-                ok = True
-                break
-        if not ok:
+        if not any(_max_degree(h) <= 2 or is_line_graph_of_bipartite(h) for h in (g, gc)):
             record["fails"].append("claw-anticlaw")
 
     if ("no-homog" in suites and n <= SUITE_CAPS["no-homog"] and uncl
@@ -223,14 +215,12 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit(n_max: int, suites=None, jobs: int = 1, graphs=None,
-          allow_large: bool = False) -> AuditReport:
+def audit(n_max: int, suites=None, jobs: int = 1, graphs=None) -> AuditReport:
     """Run the selected suites over all graphs with 1 <= n <= n_max.
 
     ``graphs`` (an iterable of graph6 strings) replaces the built-in
     enumeration when given; each graph is still gated by the per-suite size
-    caps.  Raising n_max past 8 needs allow_large, and past the census cap is
-    refused outright.
+    caps.  Without it, n_max must lie in 1..MAX_CENSUS_N.
     """
     t0 = time.monotonic()
     if suites is None:
@@ -240,10 +230,8 @@ def audit(n_max: int, suites=None, jobs: int = 1, graphs=None,
         if s not in SUITE_CAPS:
             raise InputError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
     if graphs is None:
-        if n_max < 1:
-            raise InputError("audit needs n_max >= 1")
-        if n_max > 8 and not allow_large:
-            raise InputError("audit past n_max=8 needs allow_large")
+        if not 1 <= n_max <= MAX_CENSUS_N:
+            raise InputError(f"audit needs 1 <= n_max <= {MAX_CENSUS_N}, got {n_max}")
         work = [to_graph6(g) for n in range(1, n_max + 1)
                 for g in enumerate_graphs(n)]
     else:

@@ -15,10 +15,10 @@ from .graph import Graph, are_isomorphic, invariant_key
 from .graphio import to_graph6
 
 # Known counts of graphs up to isomorphism for n = 0..8, used as a self-check
-# (and by tests).  The enumeration refuses to go past MAX_CENSUS_N: the next
-# step would mean millions of isomorphism buckets and is never needed here.
+# (and by tests).  The enumeration stops at the last frozen count, so every
+# size it builds is checked; n = 9 alone would take 274,668 classes.
 GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
-MAX_CENSUS_N = 9
+MAX_CENSUS_N = len(GRAPH_COUNTS) - 1
 
 _cache: dict[int, tuple[Graph, ...]] = {}
 
@@ -50,7 +50,7 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
                     reps.append(cand)
     reps.sort(key=to_graph6)
     out = tuple(reps)
-    if n < len(GRAPH_COUNTS) and len(out) != GRAPH_COUNTS[n]:
+    if len(out) != GRAPH_COUNTS[n]:
         raise AssertionError(
             f"enumeration produced {len(out)} classes for n={n}, "
             f"expected {GRAPH_COUNTS[n]}"

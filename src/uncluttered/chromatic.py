@@ -9,6 +9,11 @@ the root (at most max degree + 1 colors); the complement of one is colored
 through a greedy maximal matching, whose matched endpoints cover every root
 edge and hand each one the color of its smallest covering endpoint.
 
+The recursion runs on vertex masks of the input and writes every color into
+one list in the input's own labels; it takes (anti)components from one sweep
+of the rows (or of the complement rows, built once) and only the two leaves
+build a ``Graph`` of their part.
+
 The exact clique and chromatic oracles exist to audit that construction, not
 to replace it; both are branch-and-bound over bitmasks and meant for n well
 under twenty.
@@ -19,9 +24,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError, NotUnclutteredError, TheoremViolationError
-from .graph import Graph, _mask_to_tuple
+from .graph import Graph, _component_masks, _mask_to_tuple
 from .graphio import to_graph6
-from .modular import find_nonadjacent_twins, find_simplicial_vertex
+from .modular import _nonadjacent_twins_in, _simplicial_in
 from .patterns import is_uncluttered
 from .structure import is_triangle_free, line_graph, recognize_line_graph_triangle_free
 
@@ -324,63 +329,50 @@ def cover_color_complement_line(h: Graph) -> Coloring:
 # -- the constructive theorem colorer ----------------------------------------
 
 
-def _color(g: Graph) -> list[int]:
-    """Recursive coloring of an uncluttered graph; contiguous palette 0..k-1."""
-    n = g.n
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
-    comps = g.components()
+def _color_on(g: Graph, cadj: tuple[int, ...], within: int, cols: list[int],
+              base: int) -> int:
+    """Color g induced on ``within`` into ``cols`` with the palette
+    base..base+k-1 and return k; ``cadj`` holds the complement rows of g."""
+    if not within:
+        return 0
+    comps = _component_masks(g.adj, within)
     if len(comps) > 1:
-        cols = [0] * n
-        for part in comps:
-            sub = _color(g.induced(part))
-            for i, v in enumerate(part):
-                cols[v] = sub[i]
-        return cols
-    gc = g.complement()
-    anti = gc.components()
+        return max(_color_on(g, cadj, part, cols, base) for part in comps)
+    anti = _component_masks(cadj, within)
     if len(anti) > 1:
-        cols = [0] * n
-        offset = 0
+        k = 0
         for part in anti:
-            sub = _color(g.induced(part))
-            for i, v in enumerate(part):
-                cols[v] = offset + sub[i]
-            offset += max(sub) + 1
-        return cols
-    v = find_simplicial_vertex(g)
+            k += _color_on(g, cadj, part, cols, base + k)
+        return k
+    v = _simplicial_in(g.adj, within)
     if v is not None:
-        rest = [w for w in range(n) if w != v]
-        sub = _color(g.induced(rest))
-        cols = [0] * n
-        for i, w in enumerate(rest):
-            cols[w] = sub[i]
-        taken = {sub[i] for i, w in enumerate(rest) if g.has_edge(v, w)}
-        c = 0
+        k = _color_on(g, cadj, within & ~(1 << v), cols, base)
+        taken = {cols[w] for w in _mask_to_tuple(g.adj[v] & within)}
+        c = base
         while c in taken:
             c += 1
         cols[v] = c
-        return cols
-    pair = find_nonadjacent_twins(g)
+        return max(k, c - base + 1)
+    pair = _nonadjacent_twins_in(g.adj, within)
     if pair is not None:
-        rest = [w for w in range(n) if w != pair.u]
-        sub = _color(g.induced(rest))
-        cols = [0] * n
-        for i, w in enumerate(rest):
-            cols[w] = sub[i]
-        cols[pair.u] = cols[pair.v]
-        return cols
-    rg = recognize_line_graph_triangle_free(g)
+        u, v = pair
+        k = _color_on(g, cadj, within & ~(1 << u), cols, base)
+        cols[u] = cols[v]
+        return k
+    h = g.induced(_mask_to_tuple(within))
+    rg = recognize_line_graph_triangle_free(h)
     if rg is not None:
         ec = vizing_edge_color(rg.root)
-        return _compress([ec.assignment[e] for e in rg.edge_map])
-    rg = recognize_line_graph_triangle_free(gc)
-    if rg is not None:
-        return _compress(_cover_colors(rg.root, rg.edge_map))
-    raise TheoremViolationError(
-        f"uncluttered graph {to_graph6(g)!r} fell through the coloring recursion")
+        raw = _compress([ec.assignment[e] for e in rg.edge_map])
+    else:
+        rg = recognize_line_graph_triangle_free(h.complement())
+        if rg is None:
+            raise TheoremViolationError(
+                f"uncluttered graph {to_graph6(h)!r} fell through the coloring recursion")
+        raw = _compress(_cover_colors(rg.root, rg.edge_map))
+    for w, c in zip(_mask_to_tuple(within), raw):
+        cols[w] = base + c
+    return max(raw) + 1
 
 
 def color_uncluttered(g: Graph) -> Coloring:
@@ -388,6 +380,6 @@ def color_uncluttered(g: Graph) -> Coloring:
     witness = is_uncluttered(g)
     if witness is not None:
         raise NotUnclutteredError(witness)
-    cols = _color(g)
-    num = max(cols) + 1 if cols else 0
+    cols = [0] * g.n
+    num = _color_on(g, g.complement().adj, g.full_mask, cols, 0)
     return Coloring(tuple(cols), num, clique_number(g))

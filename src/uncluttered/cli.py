@@ -24,8 +24,11 @@ from .graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 
 
 def _read_text(args) -> str:
+    """The text of --from FILE, or of stdin.  A file is decoded as UTF-8 with
+    undecodable bytes kept as surrogates, so a bad byte reaches the decoder
+    of its line, which reports it."""
     if args.from_file and args.from_file != "-":
-        with open(args.from_file, "r", encoding="ascii") as fh:
+        with open(args.from_file, encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
     return sys.stdin.read()
 
@@ -132,20 +135,9 @@ def _cmd_audit(args) -> int:
     suites = None
     if args.suite:
         suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-    graphs = None
-    if args.from_file:
-        if args.from_file == "-":
-            graphs = sys.stdin.read().splitlines()
-        else:
-            try:
-                with open(args.from_file, "r", encoding="ascii") as fh:
-                    graphs = fh.read().splitlines()
-            except OSError as exc:
-                sys.stderr.write(f"error: {exc}\n")
-                return 2
+    graphs = _read_text(args).splitlines() if args.from_file else None
     try:
-        report = audit(args.n_max, suites=suites, jobs=args.jobs,
-                       graphs=graphs, allow_large=args.allow_large)
+        report = audit(args.n_max, suites=suites, jobs=args.jobs, graphs=graphs)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -200,8 +192,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="machine-readable report (no timing, byte-stable)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes (default 1)")
-    p.add_argument("--allow-large", action="store_true",
-                   help="permit n-max above 8")
     p.add_argument("--from", dest="from_file", metavar="FILE",
                    help="audit a graph6 stream from FILE instead of enumerating")
     p.set_defaults(func=_cmd_audit)
@@ -212,7 +202,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # An unreadable file, or stdin in a locale that decodes strictly.
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

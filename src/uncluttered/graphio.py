@@ -6,7 +6,8 @@ triangle of the adjacency matrix read column by column ((0,1), (0,2), (1,2),
 offset by 63.  Sizes up to 62 use the single-byte header; 63 and 64 use the
 '~' + 3 byte long header.  Decoding is strict: padding bits must be zero, the
 header form must be the canonical one for the size, and no bytes may trail,
-so decode(encode(g)) and encode(decode(s)) are both identities.
+so decode(encode(g)) and encode(decode(s)) are both identities.  A line
+holding any non-ASCII character is rejected, never read as some other byte.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def from_graph6(line: str) -> Graph:
     s = line.rstrip("\n")
     if not s:
         raise InputError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    if not s.isascii():
+        raise InputError("graph6 line holds a non-ASCII character")
+    data = s.encode("ascii")
     for byte in data:
         if not 63 <= byte <= 126:
             raise InputError(f"graph6 byte {byte} out of printable range")

@@ -4,6 +4,10 @@ A homogeneous set is a vertex set X such that every outside vertex is either
 complete or anticomplete to X; the decomposition theory branches on whether a
 nontrivial one exists.  Twins are a two-element special case and get their
 own finders because two of the theorem's cases quantify over them directly.
+
+The simplicial and twin kernels take rows and a vertex mask ``within``, so the
+colorer searches an induced part in the graph's own labels; twins come from
+one grouping of equal rows, which gives the least pair as a pair scan would.
 """
 
 from __future__ import annotations
@@ -36,6 +40,30 @@ def _closure_mask(g: Graph, seed: int) -> int:
         if not mixed:
             return x
         x |= mixed
+
+
+def _equal_row_groups(rows: tuple[int, ...] | list[int], within: int) -> list[list[int]]:
+    """Groups of two or more vertices of ``within`` with one row inside it,
+    ordered by least member."""
+    groups: dict[int, list[int]] = {}
+    for v in _mask_to_tuple(within):
+        groups.setdefault(rows[v] & within, []).append(v)
+    return [vs for vs in groups.values() if len(vs) > 1]
+
+
+def _simplicial_in(adj: tuple[int, ...], within: int) -> int | None:
+    """Least vertex of ``within`` whose neighbours inside it form a clique."""
+    for v in _mask_to_tuple(within):
+        if _is_clique_mask(adj, adj[v] & within):
+            return v
+    return None
+
+
+def _nonadjacent_twins_in(adj: tuple[int, ...], within: int) -> tuple[int, int] | None:
+    """Least pair u < v of ``within`` with ``adj[u] & within == adj[v] & within``;
+    equal rows make u and v nonadjacent, as no row holds its own vertex."""
+    groups = _equal_row_groups(adj, within)
+    return (groups[0][0], groups[0][1]) if groups else None
 
 
 def smallest_module_containing(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -88,29 +116,24 @@ def are_twins(g: Graph, u: int, v: int) -> bool:
 def find_adjacent_simplicial_twins(g: Graph) -> TwinPair | None:
     """Least pair of adjacent twins that are simplicial, or None.
 
-    Adjacent twins share their closed neighborhood, so if one is simplicial
-    the other is too; checking u alone suffices.
+    Adjacent twins share their closed row, which is then a clique exactly
+    when both are simplicial; so the least group of equal closed rows that
+    is a clique gives the pair.
     """
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v) and are_twins(g, u, v) and is_simplicial(g, u):
-                return TwinPair(u, v, adjacent=True, simplicial=True)
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    for vs in _equal_row_groups(closed, g.full_mask):
+        if _is_clique_mask(g.adj, g.adj[vs[0]]):
+            return TwinPair(vs[0], vs[1], adjacent=True, simplicial=True)
     return None
 
 
 def find_nonadjacent_twins(g: Graph) -> TwinPair | None:
     """Least pair of nonadjacent twins, or None."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and are_twins(g, u, v):
-                return TwinPair(u, v, adjacent=False,
-                                simplicial=is_simplicial(g, u))
-    return None
+    pair = _nonadjacent_twins_in(g.adj, g.full_mask)
+    return None if pair is None else TwinPair(
+        *pair, adjacent=False, simplicial=_is_clique_mask(g.adj, g.adj[pair[0]]))
 
 
 def find_simplicial_vertex(g: Graph) -> int | None:
     """Least simplicial vertex, or None."""
-    for v in range(g.n):
-        if is_simplicial(g, v):
-            return v
-    return None
+    return _simplicial_in(g.adj, g.full_mask)

@@ -363,19 +363,20 @@ def _candled_with_rest(g: Graph, rest_mask: int) -> CandledDecomposition | None:
 def detect_candled(g: Graph) -> CandledDecomposition | None:
     """Find a candled decomposition of g, or None.
 
-    The candidate rest sets are the empty set, singletons, closures of
-    vertex pairs (smallest homogeneous sets containing them), and the
-    all-but-one sets.  The list is not complete: it misses candled splits
-    whose rest is a larger module, and on some uncluttered graphs (the named
-    regressions, such as ``IT}w@o|nw``) every other case fails as well, so
-    classify raises TheoremViolationError there.
+    The candidate rest sets are the empty set, singletons and closures of
+    vertex pairs (smallest homogeneous sets containing them).  A rest of all
+    but one vertex is never tried: a candelabrum needs a nonempty base and a
+    nonempty non-base, so one vertex cannot carry it.  The list is not
+    complete: it misses candled splits whose rest is a larger module, and on
+    some uncluttered graphs (the named regressions, such as ``IT}w@o|nw``)
+    every other case fails as well, so classify raises TheoremViolationError
+    there.
     """
     candidates: list[int] = [0]
     candidates += [1 << v for v in range(g.n)]
     for u in range(g.n):
         for v in range(u + 1, g.n):
             candidates.append(_closure_mask(g, 1 << u | 1 << v))
-    candidates += [g.full_mask & ~(1 << v) for v in range(g.n)]
     tried = set()
     for rest_mask in candidates:
         if rest_mask in tried:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -194,3 +195,16 @@ def test_color_uncluttered_census_sweep(uncluttered_census):
             assert c.omega_used == omega
             assert c.num_colors <= 2 * omega or n == 0
             assert U.color_uncluttered(g) == c
+
+
+# SHA-256 of one "graph6 colors" line per uncluttered census graph, n <= 7,
+# taken before the colorer moved onto vertex masks.
+CENSUS_COLORS_SHA256 = "f24f5aa86bc46d7f1d1c3ef4d759c777e79e3d9f9535f7b9d18b8812c0128abd"
+
+
+def test_color_uncluttered_census_colors_are_frozen(uncluttered_census):
+    lines = [f"{U.to_graph6(g)} {','.join(map(str, U.color_uncluttered(g).colors))}"
+             for n in range(8) for g in uncluttered_census[n]]
+    assert len(lines) == 545
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CENSUS_COLORS_SHA256

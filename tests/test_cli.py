@@ -110,6 +110,25 @@ def test_from_file_missing(monkeypatch, capsys):
     assert err.startswith("error: ")
 
 
+def test_non_ascii_input_is_an_input_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_bytes("Bg\nD\u00e9c\n".encode() + b"B\xff\n")
+    code, out, _ = run_cli(monkeypatch, capsys, ["classify", "--from", str(path)])
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and len(lines) == 3
+    assert lines[0]["graph6"] == "Bg" and lines[0]["uncluttered"]
+    assert all("non-ASCII" in line["error"] for line in lines[1:])
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["audit", "--n-max", "5", "--from", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    strict = io.TextIOWrapper(io.BytesIO(b"B\xff\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", strict)
+    assert main(["classify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_edge_list_input_mode(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys,
                            ["classify", "--edge-list"], "3\n0 1\n1 2\n")
@@ -147,7 +166,7 @@ def test_audit_stream_input(tmp_path, monkeypatch, capsys):
 def test_audit_argument_errors(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["audit", "--n-max", "9"])
     assert code == 2 and out == ""
-    assert "allow_large" in err
+    assert "n_max <= 8" in err
     code, out, err = run_cli(monkeypatch, capsys,
                              ["audit", "--suite", "bogus"])
     assert code == 2 and "unknown suite" in err

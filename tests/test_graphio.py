@@ -56,6 +56,7 @@ def test_long_header_used_only_past_62_vertices():
     ("Bgg", "body too long"),
     ("Bi", "nonzero padding"),
     ("~~?", "size past 64"),
+    ("Déc", "non-ASCII"),
 ])
 def test_strict_decoder_rejects_noncanonical_lines(line, reason):
     with pytest.raises(InputError):

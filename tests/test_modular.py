@@ -2,6 +2,7 @@ import pytest
 
 import uncluttered as U
 from uncluttered import Graph, InputError
+from uncluttered.modular import _nonadjacent_twins_in, _simplicial_in
 
 from oracles import exhaustive_candled, random_graph
 
@@ -115,6 +116,21 @@ def test_twin_detection():
     assert U.find_adjacent_simplicial_twins(U.cycle_graph(4)) is None
     assert U.find_nonadjacent_twins(U.path_graph(4)) is None
     assert U.find_nonadjacent_twins(U.cycle_graph(4)) is not None
+
+
+def test_mask_kernels_match_the_finders_on_induced_subgraphs(census):
+    """For every census graph up to n=6 and every vertex mask, the kernels
+    answer in g's labels what the finders answer on g.induced(mask)."""
+    for n in range(7):
+        for g in census[n]:
+            for mask in range(1 << n):
+                keep = [v for v in range(n) if mask >> v & 1]
+                sub = g.induced(keep)
+                v = U.find_simplicial_vertex(sub)
+                assert _simplicial_in(g.adj, mask) == (None if v is None else keep[v])
+                tw = U.find_nonadjacent_twins(sub)
+                expect = None if tw is None else (keep[tw.u], keep[tw.v])
+                assert _nonadjacent_twins_in(g.adj, mask) == expect, U.to_graph6(g)
 
 
 def test_adjacent_simplicial_twins_are_what_they_claim(rng):
