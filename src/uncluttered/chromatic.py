@@ -288,17 +288,8 @@ def _cover_colors(root: Graph, edge_map) -> list[int]:
     for a, b in root.edges():
         if not (matched >> a & 1 or matched >> b & 1):
             matched |= 1 << a | 1 << b
-    cover = _mask_to_tuple(matched)
-    index = {v: i for i, v in enumerate(cover)}
-    out = []
-    for a, b in edge_map:
-        if matched >> a & 1:
-            out.append(index[a])
-        elif matched >> b & 1:
-            out.append(index[b])
-        else:
-            raise RuntimeError("maximal matching left a root edge uncovered")
-    return out
+    index = {v: i for i, v in enumerate(_mask_to_tuple(matched))}
+    return [index[a] if matched >> a & 1 else index[b] for a, b in edge_map]
 
 
 def _compress(raw: list[int]) -> list[int]:

@@ -322,20 +322,21 @@ def cycle_graph(n: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
+    if g.n + h.n > MAX_VERTICES:
+        raise InputError(f"union exceeds the {MAX_VERTICES}-vertex cap")
     rows = list(g.adj) + [row << g.n for row in h.adj]
     return Graph.from_rows(tuple(rows))
 
 
 def complete_join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides."""
+    if g.n + h.n > MAX_VERTICES:
+        raise InputError(f"join exceeds the {MAX_VERTICES}-vertex cap")
     gm = (1 << g.n) - 1
     hm = ((1 << h.n) - 1) << g.n
     rows = [g.adj[u] | hm for u in range(g.n)]
     rows += [(h.adj[u] << g.n) | gm for u in range(h.n)]
-    out = Graph.from_rows(tuple(rows))
-    if out.n > MAX_VERTICES:
-        raise InputError("join exceeds the 64-vertex cap")
-    return out
+    return Graph.from_rows(tuple(rows))
 
 
 # -- isomorphism and canonical form ---------------------------------------

@@ -11,15 +11,20 @@ For line graphs the only roots this package ever needs are triangle-free.
 Their line graphs are exactly the graphs with no induced claw and no induced
 diamond, and on those the Krausz cliques K(u,v) = {u, v} + (N(u) & N(v))
 partition the edges with every vertex in at most two of them.  Recognition
-builds that root directly (Krausz 1943; Roussopoulos 1973) and keeps it only
-if it is triangle-free and verify_root maps g onto its line graph, so every
-root returned proves its own claim.  The test suite checks that the roots
+collects each vertex's cliques K(w,v), numbers the distinct ones as root
+vertices (Krausz 1943; Roussopoulos 1973) and keeps the root only if it is
+triangle-free and verify_root maps g onto its line graph, so every root
+returned proves its own claim.  line_graph and verify_root share one kernel:
+each root vertex holds an incidence mask of its edges, and an edge's row is
+the OR of its two endpoints' masks.  The test suite checks that the roots
 appear exactly on the claw- and diamond-free graphs.
 
-Candelabrum and candled checks work on vertex masks of the host graph with
-the mask kernels of graph.py (clique, stable, complete, anticomplete, the
-component sweep and the complete/anticomplete/mixed split), so a body is
-checked in g's own labels, never induced and relabeled.
+A candelabrum is forced by any one clique-part vertex, so recognition builds
+one split per closed-twin class and checks each.  Candelabrum and candled
+checks work on vertex masks of the host graph with the mask kernels of
+graph.py (clique, stable, complete, anticomplete, the component sweep and the
+complete/anticomplete/mixed split), so a body is checked in g's own labels,
+never induced and relabeled.
 """
 
 from __future__ import annotations
@@ -61,6 +66,19 @@ def is_triangle_free(g: Graph):
     return None
 
 
+def _line_rows(edges, n_root: int) -> list[int]:
+    """Line-graph rows of these root edges, in list order.
+
+    Each root vertex gets an incidence mask of the edges at it, so edge w sees
+    every edge that shares an endpoint with it in one OR of two masks.
+    """
+    at = [0] * n_root
+    for w, (a, b) in enumerate(edges):
+        at[a] |= 1 << w
+        at[b] |= 1 << w
+    return [(at[a] | at[b]) & ~(1 << w) for w, (a, b) in enumerate(edges)]
+
+
 def line_graph(h: Graph) -> Graph:
     """Graph on the edges of h, adjacent when they share an endpoint."""
     edges = h.edges()
@@ -69,15 +87,7 @@ def line_graph(h: Graph) -> Graph:
     m = len(edges)
     if m > MAX_VERTICES:
         raise InputError(f"line graph would have {m} vertices, above {MAX_VERTICES}")
-    rows = [0] * m
-    for i in range(m):
-        a, b = edges[i]
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if a in (c, d) or b in (c, d):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph.from_rows(tuple(rows))
+    return Graph.from_rows(tuple(_line_rows(edges, h.n)))
 
 
 class RootGraph(NamedTuple):
@@ -93,80 +103,61 @@ class RootGraph(NamedTuple):
 def verify_root(g: Graph, rg: RootGraph) -> bool:
     """Recheck that rg.edge_map is an isomorphism from g to line_graph(root).
 
-    Works directly off shared endpoints instead of building the line graph,
-    so it is safe on edgeless and empty hosts too.
+    The map must hold g.n distinct root edges and the root exactly g.n
+    edges; then the line-graph rows of the mapped edges must be g's rows.
+    Works on edgeless and empty hosts too.
     """
-    if len(rg.edge_map) != g.n:
+    root, edge_map = rg.root, rg.edge_map
+    if len(edge_map) != g.n:
         return False
-    root = rg.root
     seen = set()
-    for a, b in rg.edge_map:
-        if not (0 <= a < b < root.n) or not root.has_edge(a, b):
-            return False
-        if (a, b) in seen:
+    for a, b in edge_map:
+        if not (0 <= a < b < root.n) or not root.has_edge(a, b) or (a, b) in seen:
             return False
         seen.add((a, b))
-    if root.edge_count() != g.n:
-        return False
-    for u in range(g.n):
-        a, b = rg.edge_map[u]
-        for v in range(u + 1, g.n):
-            c, d = rg.edge_map[v]
-            shares = a in (c, d) or b in (c, d)
-            if shares != g.has_edge(u, v):
-                return False
-    return True
+    return root.edge_count() == g.n and tuple(_line_rows(edge_map, root.n)) == g.adj
 
 
 def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
     """Root reconstruction for line graphs of triangle-free graphs.
 
     Returns None iff g is not the line graph of any triangle-free graph.
-    Builds one Krausz clique K(u,v) per edge, deduplicates, hangs a pendant
-    root vertex on every once-covered host vertex, and gives every isolated
-    host vertex a private root edge.  The root is kept only if every host
-    vertex lies in at most two cliques, no two host vertices share a root
-    edge, the root is triangle-free and verify_root accepts it.
+    Each host vertex w collects its Krausz cliques K(w,v) = {w, v} +
+    (N(w) & N(v)), one per neighbour v outside those already found, and a
+    third clique rejects g at once.  The distinct cliques, in sorted order,
+    are the first root vertices; a vertex in one clique gets a pendant root
+    vertex and an isolated vertex a private root edge.  The root is kept
+    only if it is triangle-free and verify_root accepts it, which also
+    rejects two host vertices on one root edge.
     """
-    cliques: list[int] = []
-    seen: set[int] = set()
-    for u in range(g.n):
-        m = g.adj[u] >> (u + 1) << (u + 1)
+    adj = g.adj
+    cover: list[list[int]] = []
+    for w in range(g.n):
+        mine: list[int] = []
+        m = adj[w]
         while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            mask = (1 << u) | low | (g.adj[u] & g.adj[v])
-            if mask not in seen:
-                seen.add(mask)
-                cliques.append(mask)
-            m ^= low
-    cliques.sort(key=_mask_to_tuple)
-    cover: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, mask in enumerate(cliques):
-        for w in _mask_to_tuple(mask):
-            cover[w].append(idx)
-            if len(cover[w]) > 2:
+            v = (m & -m).bit_length() - 1
+            if len(mine) == 2:
                 return None
+            clique = 1 << w | 1 << v | (adj[w] & adj[v])
+            mine.append(clique)
+            m &= ~clique
+        cover.append(mine)
+    cliques = sorted({c for mine in cover for c in mine}, key=_mask_to_tuple)
+    number = {c: i for i, c in enumerate(cliques)}
     # Root vertices: one per clique, then pendants and isolated-edge ends.
     # A root may exceed the host's 64-vertex cap (a path on 64 vertices has
     # a 65-vertex root), so its rows are built here and wrapped directly.
     next_vertex = len(cliques)
-    edge_map: list[tuple[int, int]] = []
-    for w in range(g.n):
-        cs = cover[w]
-        if len(cs) == 2:
-            e = (cs[0], cs[1])
-        elif len(cs) == 1:
-            e = (cs[0], next_vertex)
+    edge_map: list[tuple[int, ...]] = []
+    for mine in cover:
+        ends = sorted(number[c] for c in mine)
+        while len(ends) < 2:
+            ends.append(next_vertex)
             next_vertex += 1
-        else:
-            e = (next_vertex, next_vertex + 1)
-            next_vertex += 2
-        edge_map.append(e)
+        edge_map.append(tuple(ends))
     rows = [0] * next_vertex
     for a, b in edge_map:
-        if rows[a] >> b & 1:
-            return None
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     rg = RootGraph(Graph.from_rows(tuple(rows)), tuple(edge_map))
@@ -285,44 +276,29 @@ def recognize_candelabrum_with_base(g: Graph, base) -> CandelabrumStructure | No
 def recognize_candelabrum(g: Graph) -> CandelabrumStructure | None:
     """Some candelabrum structure on all of g, or None if none exists.
 
-    Candidate bases are forced up to a small list.  With one part, the
-    cliques are exactly the universal vertices (or all but one vertex of a
-    complete graph).  With more parts, any non-base vertex v determines its
-    whole part as the vertices sharing its closed neighborhood, and the base
-    follows from any neighbor outside that part.
+    Any clique-part vertex y forces the split: its clique part is its
+    closed-twin class, its stable part the rest of its closed neighborhood
+    (or the top vertex of the class when that rest is empty, which covers
+    one part and complete graphs), and the base that stable part plus the
+    outside neighbors of its least vertex.  Each closed-twin class is tried
+    once, by least vertex, and each split is checked by _candelabrum_on.
     """
-    if g.n < 2:
-        return None
-    full = g.full_mask
-    candidates: list[int] = []
-    universal = 0
-    for v in range(g.n):
-        if g.adj[v] | 1 << v == full:
-            universal |= 1 << v
-    if universal and universal != full:
-        candidates.append(full & ~universal)
-    if universal == full:
-        candidates.append(1 << (g.n - 1))
-    for v in range(g.n):
-        closed = g.adj[v] | 1 << v
+    adj, full = g.adj, g.full_mask
+    todo = full
+    while todo:
+        y = (todo & -todo).bit_length() - 1
+        closed = adj[y] | 1 << y
         part = 0
         m = closed
         while m:
             low = m & -m
-            if g.adj[low.bit_length() - 1] | low == closed:
+            if adj[low.bit_length() - 1] | low == closed:
                 part |= low
             m ^= low
-        z_local = closed & ~part
-        if not z_local:
-            continue
-        zv = (z_local & -z_local).bit_length() - 1
-        candidates.append(z_local | (g.adj[zv] & ~closed))
-    tried = set()
-    for base_mask in candidates:
-        if base_mask in tried:
-            continue
-        tried.add(base_mask)
-        st = _candelabrum_on(g, full, base_mask)
+        todo &= ~part
+        stable = closed & ~part or 1 << (part.bit_length() - 1)
+        z = (stable & -stable).bit_length() - 1
+        st = _candelabrum_on(g, full, stable | (adj[z] & ~closed))
         if st is not None:
             return st
     return None

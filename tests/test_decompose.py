@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -8,6 +9,10 @@ from uncluttered import Certificate, Graph
 from uncluttered.decompose import certificate_json, tree_json
 
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 4), (1, 4), (1, 2), (2, 3)])
+# SHA-256 of the certificate JSON of every census graph with n <= 7 and of
+# its complement; it pins root numbering and part order byte for byte.
+CENSUS_CERTIFICATES_SHA256 = (
+    "e3a450aaba61f7d1800543ee82b222436df33193d91fc8efd931fc31f451e095")
 
 
 def test_case_tuples_are_fixed():
@@ -110,6 +115,15 @@ def test_every_census_certificate_verifies(census):
                 assert cert.case != "NOT_UNCLUTTERED"
             else:
                 assert cert.case == "NOT_UNCLUTTERED"
+
+
+def test_census_certificates_are_frozen(census):
+    lines = [f"{U.to_graph6(h)} "
+             f"{json.dumps(certificate_json(U.classify(h)), separators=(',', ':'))}"
+             for n in range(8) for g in census[n] for h in (g, g.complement())]
+    assert len(lines) == 2506
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CENSUS_CERTIFICATES_SHA256
 
 
 def test_verify_rejects_cross_case_and_malformed():

@@ -80,6 +80,10 @@ def test_disjoint_union_and_join():
     j = U.complete_join(U.edgeless_graph(2), U.edgeless_graph(3))
     assert j.edge_count() == 6
     assert j == Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    assert U.disjoint_union(Graph(40), Graph(24)).n == 64
+    for combine in (U.disjoint_union, U.complete_join):
+        with pytest.raises(InputError, match="64-vertex cap"):
+            combine(Graph(40), Graph(40))
 
 
 def test_components_and_connectivity():

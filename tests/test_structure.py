@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import uncluttered as U
@@ -73,6 +75,15 @@ def test_verify_root_rejects_corruption():
     assert not U.verify_root(host, RootGraph(rg.root, tuple(em)))
     assert not U.verify_root(host, RootGraph(rg.root, rg.edge_map[:-1]))
     assert not U.verify_root(U.path_graph(5), rg)
+    # two host vertices on one root edge: the line-graph rows alone would match
+    p3 = U.path_graph(3)
+    assert not U.verify_root(U.complete_graph(2), RootGraph(p3, ((0, 1), (0, 1))))
+    assert U.verify_root(U.complete_graph(2), RootGraph(p3, ((0, 1), (1, 2))))
+    # list entries are read like tuples, and a non-edge entry is refused
+    assert U.verify_root(host, RootGraph(rg.root, tuple(map(list, rg.edge_map)))) is True
+    assert U.verify_root(U.complete_graph(2), RootGraph(p3, ([0, 1], [0, 1]))) is False
+    assert not U.verify_root(U.complete_graph(2), RootGraph(p3, ((0, 1), (0, 2))))
+    assert not U.verify_root(U.complete_graph(2), RootGraph(p3, ((0, 1), (2, 1))))
 
 
 def test_recognizer_round_trips_random_roots(rng):
@@ -117,6 +128,25 @@ def test_recognizer_accepts_exactly_the_claw_and_diamond_free_census(census):
             if rg is not None:
                 assert U.verify_root(g, rg)
                 assert U.is_triangle_free(rg.root) is None
+
+
+def test_census_structure_outputs_are_frozen(census):
+    """SHA-256 of the line-graph root, the candelabrum and the candled
+    decomposition found on every census graph with n <= 7 and its complement."""
+    def parts(st):
+        return None if st is None else (st.clique_parts, st.stable_parts)
+    lines = []
+    for n in range(8):
+        for g in census[n]:
+            for h in (g, g.complement()):
+                rg = U.recognize_line_graph_triangle_free(h)
+                dec = U.detect_candled(h)
+                lines.append(f"{U.to_graph6(h)} {rg and (rg.root.adj, rg.edge_map)} "
+                             f"{parts(U.recognize_candelabrum(h))} "
+                             f"{dec and (parts(dec.candelabrum), dec.rest)}")
+    assert len(lines) == 2506
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "9bb5ae1c7c9d8ab84da7161da9ce410d419686fd30ede1da148a941774778f9e")
 
 
 def test_bipartite_root_refinement():
