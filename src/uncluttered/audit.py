@@ -2,23 +2,27 @@
 
 Each suite re-proves one structural statement empirically across every graph
 whose size its cap allows, and any failure names the offending graph in
-graph6 form.  Reports merge deterministically: the per-graph records are
-folded in enumeration order no matter how many worker processes ran, and the
-JSON form never contains timing, so equal inputs give byte-equal reports.
+graph6 form.  The suites run on ``Graph`` objects: enumerated graphs go in
+as the census built them and a graph6 stream is decoded once, and only a
+graph that the report stores (a failure or a new best chi/omega ratio) is
+encoded back to graph6.  Reports merge deterministically: the per-graph
+records are folded in enumeration order no matter how many worker processes
+ran, and the JSON form never contains timing, so equal inputs give
+byte-equal reports.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from functools import partial
-from itertools import combinations
 
 from .census import MAX_CENSUS_N, enumerate_graphs
 from .chromatic import chromatic_number_exact, color_uncluttered, is_proper_coloring
 from .decompose import ALL_CASES, classify, verify_certificate
 from .errors import InputError, TheoremViolationError
-from .graph import Graph, is_clique, is_dominating
+from .graph import Graph, _is_clique_mask, _mask_to_tuple
 from .graphio import from_graph6, to_graph6
 from .modular import find_adjacent_simplicial_twins, find_nontrivial_homogeneous_set
 from .patterns import has_induced, is_uncluttered
@@ -60,16 +64,28 @@ def _every_diamond_dominating(g: Graph) -> bool:
 
 
 def _every_triangle_dominating(g: Graph) -> bool:
-    for sub in combinations(range(g.n), 3):
-        if is_clique(g, sub) and not is_dominating(g, sub):
-            return False
+    """True iff every triangle dominates g: for each edge bc, every common
+    neighbour a must give N[a] | N[b] | N[c] = V."""
+    adj, full = g.adj, g.full_mask
+    for b, c in g.edges():
+        m = adj[b] & adj[c]
+        while m:
+            low = m & -m
+            if (adj[low.bit_length() - 1] | adj[b] | adj[c]) != full:
+                return False
+            m ^= low
     return True
 
 
 def _no_dominating_clique(g: Graph) -> bool:
-    for size in range(1, g.n + 1):
-        for sub in combinations(range(g.n), size):
-            if is_clique(g, sub) and is_dominating(g, sub):
+    """True iff no nonempty clique of g dominates it."""
+    adj, full = g.adj, g.full_mask
+    for mask in range(1, full + 1):
+        if _is_clique_mask(adj, mask):
+            closed = mask
+            for v in _mask_to_tuple(mask):
+                closed |= adj[v]
+            if closed == full:
                 return False
     return True
 
@@ -78,12 +94,11 @@ def _max_degree(g: Graph) -> int:
     return max((g.degree(v) for v in range(g.n)), default=0)
 
 
-def audit_one(g6: str, suites: tuple[str, ...]) -> dict:
+def audit_one(g: Graph, suites: tuple[str, ...]) -> dict:
     """All selected suite checks for one graph; returns a mergeable record."""
-    g = from_graph6(g6)
     n = g.n
     gc = g.complement()
-    record = {"n": n, "g6": g6, "uncluttered": None, "case": None,
+    record = {"n": n, "uncluttered": None, "case": None,
               "checked": [], "fails": [], "ratio": None}
 
     prime = None
@@ -166,8 +181,9 @@ class AuditReport:
         self.graphs_scanned = 0
         self.per_n: dict = {}
         self.uncluttered_count = 0
-        self.case_histogram: dict = {}
-        self.suite_results: dict = {}
+        self.case_histogram = {c: 0 for c in HISTOGRAM_CASES}
+        self.suite_results = {s: {"checked": 0, "passed": 0, "failed": 0,
+                                  "failures": []} for s in suites}
         self.max_ratio: tuple[int, int] | None = None
         self.max_ratio_graph6: str | None = None
         self.wall_seconds = 0.0
@@ -183,10 +199,8 @@ class AuditReport:
             "graphs_scanned": self.graphs_scanned,
             "per_n": {str(k): self.per_n[k] for k in sorted(self.per_n)},
             "uncluttered_count": self.uncluttered_count,
-            "case_histogram": {c: self.case_histogram.get(c, 0)
-                               for c in HISTOGRAM_CASES},
-            "suite_results": {name: self.suite_results[name]
-                              for name in self.suites},
+            "case_histogram": self.case_histogram,
+            "suite_results": self.suite_results,
             "max_ratio": list(self.max_ratio) if self.max_ratio else None,
             "max_ratio_graph6": self.max_ratio_graph6,
         }
@@ -219,8 +233,11 @@ def audit(n_max: int, suites=None, jobs: int = 1, graphs=None) -> AuditReport:
     """Run the selected suites over all graphs with 1 <= n <= n_max.
 
     ``graphs`` (an iterable of graph6 strings) replaces the built-in
-    enumeration when given; each graph is still gated by the per-suite size
-    caps.  Without it, n_max must lie in 1..MAX_CENSUS_N.
+    enumeration when given; each line is decoded once, and each graph is
+    still gated by the per-suite size caps.  Without it, n_max must lie in
+    1..MAX_CENSUS_N.  ``jobs`` must be at least 1; more than one runs the
+    suites in that many worker processes, but never more than the machine's
+    CPU count.
     """
     t0 = time.monotonic()
     if suites is None:
@@ -229,34 +246,36 @@ def audit(n_max: int, suites=None, jobs: int = 1, graphs=None) -> AuditReport:
     for s in suites:
         if s not in SUITE_CAPS:
             raise InputError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
+    if jobs < 1:
+        raise InputError(f"audit needs jobs >= 1, got {jobs}")
     if graphs is None:
         if not 1 <= n_max <= MAX_CENSUS_N:
             raise InputError(f"audit needs 1 <= n_max <= {MAX_CENSUS_N}, got {n_max}")
-        work = [to_graph6(g) for n in range(1, n_max + 1)
-                for g in enumerate_graphs(n)]
+        work = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
     else:
-        work = [line.strip() for line in graphs if line.strip()]
-        for g6 in work:
-            from_graph6(g6)
+        work = [from_graph6(line.strip()) for line in graphs if line.strip()]
     report = AuditReport(n_max=n_max, suites=suites)
-    report.case_histogram = {c: 0 for c in HISTOGRAM_CASES}
-    report.suite_results = {s: {"checked": 0, "passed": 0, "failed": 0,
-                                "failures": []} for s in suites}
-    if jobs <= 1:
-        _merge(report, (audit_one(g6, suites) for g6 in work))
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs == 1:
+        _merge(report, work, (audit_one(g, suites) for g in work))
     else:
         from multiprocessing import Pool  # only parallel runs pay its import
         chunk = max(1, len(work) // (jobs * 8))
         with Pool(jobs) as pool:
-            _merge(report, pool.imap(partial(audit_one, suites=suites), work, chunksize=chunk))
+            _merge(report, work,
+                   pool.imap(partial(audit_one, suites=suites), work, chunksize=chunk))
     report.wall_seconds = time.monotonic() - t0
     return report
 
 
-def _merge(report: AuditReport, records) -> None:
-    """Fold per-graph records into the report, in enumeration order."""
+def _merge(report: AuditReport, graphs, records) -> None:
+    """Fold each graph's record into the report, in enumeration order.
+
+    A graph is encoded to graph6 only when the report stores it: as one of
+    the first MAX_STORED_FAILURES failures of a suite, or as a new best ratio.
+    """
     best = None
-    for rec in records:
+    for g, rec in zip(graphs, records):
         report.graphs_scanned += 1
         report.per_n[rec["n"]] = report.per_n.get(rec["n"], 0) + 1
         if rec["uncluttered"]:
@@ -269,13 +288,13 @@ def _merge(report: AuditReport, records) -> None:
             if s in rec["fails"]:
                 result["failed"] += 1
                 if len(result["failures"]) < MAX_STORED_FAILURES:
-                    result["failures"].append(rec["g6"])
+                    result["failures"].append(to_graph6(g))
             else:
                 result["passed"] += 1
         if rec["ratio"] is not None:
             chi, om = rec["ratio"]
             if best is None or chi * best[1] > best[0] * om:
                 best = (chi, om)
-                report.max_ratio_graph6 = rec["g6"]
+                report.max_ratio_graph6 = to_graph6(g)
     report.max_ratio = best
 

@@ -15,8 +15,9 @@ of the rows (or of the complement rows, built once) and only the two leaves
 build a ``Graph`` of their part.
 
 The exact clique and chromatic oracles exist to audit that construction, not
-to replace it; both are branch-and-bound over bitmasks and meant for n well
-under twenty.
+to replace it; both search bitmasks and are meant for n well under twenty.
+The clique search is branch and bound; the chromatic search backtracks over
+one vertex mask per color class, for palette sizes up from the clique number.
 """
 
 from __future__ import annotations
@@ -111,67 +112,36 @@ def clique_number(g: Graph) -> int:
     return len(max_clique(g))
 
 
-def _greedy_color_count(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    colors = [-1] * g.n
-    top = 0
-    for v in order:
-        taken = {colors[w] for w in g.neighbors(v) if colors[w] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-        top = max(top, c + 1)
-    return top
-
-
-def _colorable(g: Graph, k: int, seed: tuple[int, ...]) -> bool:
-    """Exact k-colorability, symmetry-broken by precoloring a maximum clique."""
-    if len(seed) > k:
-        return False
-    colors = [-1] * g.n
-    for i, v in enumerate(seed):
-        colors[v] = i
-    rest = sorted((v for v in range(g.n) if colors[v] < 0),
-                  key=lambda v: (-g.degree(v), v))
-    return _extend_coloring(g, k, rest, colors, 0, len(seed))
-
-
-def _extend_coloring(g: Graph, k: int, rest: list[int], colors: list[int],
+def _extend_coloring(adj: tuple[int, ...], rest: list[int], classes: list[int],
                      i: int, used: int) -> bool:
-    """Color rest[i:] in place with at most k colors, ``used`` open so far."""
+    """Color rest[i:] into the class masks, ``used`` open so far; a failed
+    search leaves the masks as it found them."""
     if i == len(rest):
         return True
     v = rest[i]
-    taken = 0
-    for w in g.neighbors(v):
-        if colors[w] >= 0:
-            taken |= 1 << colors[w]
+    row, bit = adj[v], 1 << v
     # New color classes are opened in ascending order only.
-    limit = min(used + 1, k)
-    for c in range(limit):
-        if taken >> c & 1:
+    for c in range(min(used + 1, len(classes))):
+        if classes[c] & row:
             continue
-        colors[v] = c
-        if _extend_coloring(g, k, rest, colors, i + 1, max(used, c + 1)):
+        classes[c] |= bit
+        if _extend_coloring(adj, rest, classes, i + 1, max(used, c + 1)):
             return True
-    colors[v] = -1
+        classes[c] ^= bit
     return False
 
 
 def chromatic_number_exact(g: Graph) -> int:
-    """Exact chromatic number by trying palette sizes up from the clique bound."""
+    """Exact chromatic number: palette sizes are tried up from the clique
+    number, each with a maximum clique precolored to break symmetry."""
     if g.n > 16:
         raise InputError("exact chromatic oracle capped at n <= 16")
-    if g.n == 0:
-        return 0
     seed = max_clique(g)
-    lb = len(seed)
-    ub = _greedy_color_count(g)
-    for k in range(lb, ub):
-        if _colorable(g, k, seed):
-            return k
-    return ub
+    rest = sorted(set(range(g.n)).difference(seed), key=lambda v: (-g.degree(v), v))
+    classes = [1 << v for v in seed]
+    while not _extend_coloring(g.adj, rest, classes, 0, len(seed)):
+        classes.append(0)
+    return len(classes)
 
 
 # -- edge coloring ----------------------------------------------------------

@@ -142,6 +142,11 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the rows; the default protocol would
+        # set the slots one by one, which __setattr__ refuses.
+        return Graph.from_rows, (self.adj,)
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
 

@@ -88,6 +88,27 @@ def subset_scan_uncluttered(g):
     return None
 
 
+def _pairwise_adjacent(g, vs):
+    return all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+
+
+def _dominates(g, vs):
+    return all(any(g.has_edge(v, w) for w in vs) for v in range(g.n) if v not in vs)
+
+
+def every_triangle_dominating(g):
+    """Every triangle dominates g, by scanning all 3-subsets."""
+    return not any(_pairwise_adjacent(g, sub) and not _dominates(g, sub)
+                   for sub in combinations(range(g.n), 3))
+
+
+def no_dominating_clique(g):
+    """No nonempty clique dominates g, by scanning every vertex subset."""
+    return not any(_pairwise_adjacent(g, sub) and _dominates(g, sub)
+                   for size in range(1, g.n + 1)
+                   for sub in combinations(range(g.n), size))
+
+
 def naive_triangle_free(g):
     return all(not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c))
                for a, b, c in combinations(range(g.n), 3))

@@ -1,10 +1,14 @@
+import hashlib
 import sys
 
 import pytest
 
 import uncluttered as U
 from uncluttered import InputError
-from uncluttered.audit import MAX_STORED_FAILURES, AuditReport, _merge, audit_one
+from uncluttered.audit import (MAX_STORED_FAILURES, AuditReport, _every_triangle_dominating,
+                               _merge, _no_dominating_clique, audit_one)
+
+from oracles import every_triangle_dominating, no_dominating_clique
 
 ALL_SUITES = ("main-theorem", "chi-bound", "diamond", "mixed-triangle",
               "claw-anticlaw", "no-homog", "prime-linegraph")
@@ -23,15 +27,19 @@ def test_suite_registry_is_fixed():
     }
 
 
+DHC, DHO = U.from_graph6("Dhc"), U.from_graph6("DhO")
+
+
 def test_audit_one_record_shape():
-    rec = audit_one("Dhc", ALL_SUITES)
-    assert rec["n"] == 5 and rec["g6"] == "Dhc"
+    rec = audit_one(DHC, ALL_SUITES)
+    assert set(rec) == {"n", "uncluttered", "case", "checked", "fails", "ratio"}
+    assert rec["n"] == 5
     assert rec["uncluttered"] is True
     assert rec["case"] == "LINEGRAPH_TF"
     assert rec["checked"] == list(ALL_SUITES)
     assert rec["fails"] == []
     assert rec["ratio"] == (3, 2)
-    rec = audit_one("DhO", ALL_SUITES)
+    rec = audit_one(DHO, ALL_SUITES)
     assert rec["uncluttered"] is False
     assert rec["case"] == "NOT_UNCLUTTERED"
     assert rec["ratio"] is None
@@ -46,11 +54,11 @@ def test_audit_one_reads_membership_off_the_certificate(monkeypatch):
 
     # the package's `audit` function shadows the submodule of that name
     monkeypatch.setattr(sys.modules["uncluttered.audit"], "is_uncluttered", counting)
-    assert audit_one("Dhc", ALL_SUITES)["uncluttered"] is True
-    assert audit_one("DhO", ALL_SUITES)["uncluttered"] is False
+    assert audit_one(DHC, ALL_SUITES)["uncluttered"] is True
+    assert audit_one(DHO, ALL_SUITES)["uncluttered"] is False
     assert calls == []
-    assert audit_one("Dhc", ("chi-bound",))["uncluttered"] is True
-    assert audit_one("DhO", ("chi-bound",))["uncluttered"] is False
+    assert audit_one(DHC, ("chi-bound",))["uncluttered"] is True
+    assert audit_one(DHO, ("chi-bound",))["uncluttered"] is False
     assert len(calls) == 2
 
 
@@ -129,6 +137,85 @@ def test_audit_input_validation():
         U.audit(9)
     with pytest.raises(InputError):
         U.audit(4, graphs=["Dhc", "not graph6 at all"])
+    for jobs in (0, -5):
+        with pytest.raises(InputError, match="jobs"):
+            U.audit(4, jobs=jobs)
+
+
+def test_audit_starts_at_most_cpu_count_workers(monkeypatch):
+    import multiprocessing
+    made = []
+
+    class SerialPool:
+        """Records the worker count and runs the work in this process."""
+
+        def __init__(self, processes):
+            made.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, work, chunksize=1):
+            return map(func, work)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    expect = U.audit(4).to_json()
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert U.audit(4, jobs=100_000).to_json() == expect
+    assert U.audit(4, jobs=2).to_json() == expect
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert U.audit(4, jobs=100_000).to_json() == expect
+    assert made == [3, 2]
+
+
+# SHA-256 of audit(7).to_json(), all suites, taken before the audit ran on
+# decoded graphs and the chromatic oracle on colour-class masks.
+AUDIT_SEVEN_SHA256 = "eb13f2b2de61a247bcf560fb8a8ddeda8ada67026875294ecb16234b6e60d5e9"
+AUDIT_SEVEN_MAIN_CHI_SHA256 = "50fb0c5123b88798c87983f18e391576ae68913dfe8b71df61c14fdc9036894c"
+
+
+def test_audit_seven_report_is_frozen():
+    def digest(report):
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    assert digest(U.audit(7)) == AUDIT_SEVEN_SHA256
+    assert digest(U.audit(7, suites=("main-theorem", "chi-bound"))) == AUDIT_SEVEN_MAIN_CHI_SHA256
+
+
+def test_enumerated_audit_encodes_only_stored_labels(monkeypatch):
+    mod = sys.modules["uncluttered.audit"]
+    decoded, encoded = [], []
+
+    def counting_from(line):
+        decoded.append(line)
+        return U.from_graph6(line)
+
+    def counting_to(g):
+        encoded.append(U.to_graph6(g))
+        return encoded[-1]
+
+    monkeypatch.setattr(mod, "from_graph6", counting_from)
+    monkeypatch.setattr(mod, "to_graph6", counting_to)
+    r = U.audit(5)
+    assert r.graphs_scanned == 52 and not r.failed
+    assert decoded == []
+    # one encoding per new chi/omega leader, the last of which is kept
+    assert encoded == ["@", "DUW"] and r.max_ratio_graph6 == "DUW"
+
+
+def test_mixed_triangle_kernels_agree_with_the_scans(census):
+    seen = set()
+    for n in range(8):
+        for g in census[n]:
+            for h in (g, g.complement()):
+                tri, clique = every_triangle_dominating(h), no_dominating_clique(h)
+                assert _every_triangle_dominating(h) == tri, U.to_graph6(h)
+                assert _no_dominating_clique(h) == clique, U.to_graph6(h)
+                seen.add((tri, clique))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_audit_text_rendering():
@@ -140,33 +227,30 @@ def test_audit_text_rendering():
     assert text.splitlines()[-1].startswith("wall time:")
 
 
-def test_merge_bookkeeping_with_synthetic_records():
+def test_merge_bookkeeping_with_synthetic_records(census):
     """The fold counts failures, stores at most the cap, and keeps the
     strictly best ratio seen first on ties."""
     suites = ("chi-bound",)
-    report = AuditReport(n_max=5, suites=suites)
-    report.case_histogram = {c: 0 for c in U.ALL_CASES + ("THEOREM_VIOLATION",)}
-    report.suite_results = {s: {"checked": 0, "passed": 0, "failed": 0,
-                                "failures": []} for s in suites}
+    report = AuditReport(n_max=6, suites=suites)
+    graphs = list(census[6][:MAX_STORED_FAILURES + 7])
     records = []
     for i in range(MAX_STORED_FAILURES + 5):
-        records.append({"n": 5, "g6": f"fake{i}", "uncluttered": True,
+        records.append({"n": 6, "uncluttered": True,
                         "case": "LINEGRAPH_TF", "checked": ["chi-bound"],
                         "fails": ["chi-bound"], "ratio": (1, 1)})
-    records.append({"n": 5, "g6": "good", "uncluttered": True,
+    records.append({"n": 6, "uncluttered": True,
                     "case": "CANDLED", "checked": ["chi-bound"],
                     "fails": [], "ratio": (3, 2)})
-    records.append({"n": 5, "g6": "tied", "uncluttered": True,
+    records.append({"n": 6, "uncluttered": True,
                     "case": "CANDLED", "checked": ["chi-bound"],
                     "fails": [], "ratio": (6, 4)})
-    _merge(report, records)
+    _merge(report, graphs, records)
     res = report.suite_results["chi-bound"]
     assert res["checked"] == MAX_STORED_FAILURES + 7
     assert res["failed"] == MAX_STORED_FAILURES + 5
     assert res["passed"] == 2
-    assert len(res["failures"]) == MAX_STORED_FAILURES
-    assert res["failures"][0] == "fake0"
+    assert res["failures"] == [U.to_graph6(g) for g in graphs[:MAX_STORED_FAILURES]]
     assert report.failed
     assert report.max_ratio == (3, 2)
-    assert report.max_ratio_graph6 == "good"
+    assert report.max_ratio_graph6 == U.to_graph6(graphs[-2])
     assert report.case_histogram["CANDLED"] == 2

@@ -76,6 +76,17 @@ def test_exact_chromatic_frozen_values():
     assert U.chromatic_number_exact(Graph(16)) == 1
 
 
+# SHA-256 of the comma-joined exact chromatic numbers of the census n = 1..7,
+# in census order, taken before the search moved onto colour-class masks.
+CENSUS_CHI_SHA256 = "76e1c797e696c2988f08feaae69f36a9c7d81b5402dcdfc93c017f62bd1699ac"
+
+
+def test_exact_chromatic_census_values_are_frozen(census):
+    line = ",".join(str(U.chromatic_number_exact(g))
+                    for n in range(1, 8) for g in census[n])
+    assert hashlib.sha256(line.encode()).hexdigest() == CENSUS_CHI_SHA256
+
+
 def test_exact_chromatic_size_cap():
     with pytest.raises(InputError):
         U.chromatic_number_exact(Graph(17))

@@ -173,6 +173,11 @@ def test_audit_argument_errors(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys,
                              ["audit", "--from", "/no/such/stream.g6"])
     assert code == 2 and err.startswith("error: ")
+    for jobs in ("0", "-5"):
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 ["audit", "--n-max", "4", "--jobs", jobs])
+        assert (code, out) == (2, "")
+        assert err == f"error: audit needs jobs >= 1, got {jobs}\n"
 
 
 def test_audit_suite_selection(monkeypatch, capsys):

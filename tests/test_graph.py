@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -53,6 +56,20 @@ def test_graphs_are_immutable():
     g = U.path_graph(3)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def test_graphs_and_trees_survive_pickle_and_copy(uncluttered_census):
+    # a candled graph with a nonempty rest puts every payload type in a tree
+    members = [U.from_graph6("G?bF]{")] + list(uncluttered_census[6])
+    trees = [U.decomposition_tree(g) for g in members]
+    assert {t.certificate.case for t in trees} >= {"CANDLED", "LINEGRAPH_TF", "DISCONNECTED"}
+    for x in [Graph(0), U.path_graph(5), U.complete_graph(64)] + trees:
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert twin == x
+    g = copy.deepcopy(U.cycle_graph(5))
+    assert type(g) is Graph and g.adj == U.cycle_graph(5).adj
+    with pytest.raises(AttributeError):
+        g.n = 4
 
 
 def test_equality_and_hash():
