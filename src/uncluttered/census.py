@@ -2,16 +2,16 @@
 
 Graphs on n vertices are generated by extending each (n-1)-vertex
 representative with a new last vertex attached along every possible
-neighborhood mask, then deduplicating.  Deduplication buckets candidates by a
-cheap invariant key and settles collisions with an exact isomorphism check,
-so no canonical labeling is needed.  Results are cached per n and returned
-sorted by their graph6 string, which makes downstream reports reproducible.
+neighborhood mask.  Each candidate gets its canonical form
+(``graph.invariant_key``), and the first candidate seen with each form is
+kept.  Results are cached per n and returned sorted by their graph6 string,
+which makes downstream reports reproducible.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .graph import Graph, are_isomorphic, invariant_key
+from .graph import Graph, invariant_key
 from .graphio import to_graph6
 
 # Known counts of graphs up to isomorphism for n = 0..8, used as a self-check
@@ -25,6 +25,8 @@ _cache: dict[int, tuple[Graph, ...]] = {}
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one per isomorphism class."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"vertex count must be an int, got {n!r}")
     if n < 0:
         raise InputError("vertex count must be nonnegative")
     if n > MAX_CENSUS_N:
@@ -34,8 +36,7 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     if n == 0:
         reps: list[Graph] = [Graph(0)]
     else:
-        buckets: dict[tuple, list[Graph]] = {}
-        reps = []
+        firsts: dict[tuple[int, ...], Graph] = {}
         for parent in enumerate_graphs(n - 1):
             rows = parent.adj
             for mask in range(1 << (n - 1)):
@@ -43,11 +44,8 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
                     rows[u] | ((mask >> u & 1) << (n - 1)) for u in range(n - 1)
                 ) + (mask,)
                 cand = Graph.from_rows(cand_rows)
-                key = invariant_key(cand)
-                bucket = buckets.setdefault(key, [])
-                if not any(are_isomorphic(cand, seen) for seen in bucket):
-                    bucket.append(cand)
-                    reps.append(cand)
+                firsts.setdefault(invariant_key(cand), cand)
+        reps = list(firsts.values())
     reps.sort(key=to_graph6)
     out = tuple(reps)
     if len(out) != GRAPH_COUNTS[n]:

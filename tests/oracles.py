@@ -8,7 +8,7 @@ function and an oracle disagree, the oracle wins and the package is wrong.
 from itertools import combinations, permutations
 
 from uncluttered import CandelabrumStructure, CandledDecomposition, Graph
-from uncluttered.graph import are_isomorphic, invariant_key
+from uncluttered.graph import invariant_key
 
 
 def naive_find_induced(pattern_g, host):
@@ -109,6 +109,15 @@ def no_dominating_clique(g):
                    for sub in combinations(range(g.n), size))
 
 
+def naive_isomorphic(g, h):
+    """True iff some permutation of g's vertices maps its edges onto h's."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return False
+    edges = g.edges()
+    return any(all(h.has_edge(p[u], p[v]) for u, v in edges)
+               for p in permutations(range(g.n)))
+
+
 def naive_triangle_free(g):
     return all(not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c))
                for a, b, c in combinations(range(g.n), 3))
@@ -132,21 +141,18 @@ def triangle_free_rootless_by_edges(max_edges):
     """Triangle-free graphs without isolated vertices, keyed by edge count.
 
     Returns {m: [graphs with exactly m edges, up to isomorphism]} for
-    1 <= m <= max_edges, built by single-edge augmentation with exact
-    isomorphism deduplication.  Isolated vertices never appear because each
-    added edge covers the vertices it introduces.
+    1 <= m <= max_edges, built by single-edge augmentation and deduplicated
+    by canonical form.  Isolated vertices never appear because each added
+    edge covers the vertices it introduces.
     """
     levels = {1: [Graph(2, [(0, 1)])]}
     for m in range(2, max_edges + 1):
-        buckets = {}
+        firsts = {}
         for g in levels[m - 1]:
             for h in _single_edge_extensions(g):
-                if not naive_triangle_free(h):
-                    continue
-                bucket = buckets.setdefault(invariant_key(h), [])
-                if not any(are_isomorphic(h, x) for x in bucket):
-                    bucket.append(h)
-        levels[m] = [g for b in buckets.values() for g in b]
+                if naive_triangle_free(h):
+                    firsts.setdefault(invariant_key(h), h)
+        levels[m] = list(firsts.values())
     return levels
 
 

@@ -9,6 +9,8 @@ import uncluttered as U
 from uncluttered import Graph, InputError
 from uncluttered.graph import MAX_VERTICES, invariant_key
 
+from oracles import naive_isomorphic, random_graph
+
 
 @st.composite
 def graphs(draw, max_n=8):
@@ -181,15 +183,18 @@ def test_bipartiteness():
     assert not U.is_bipartite(U.disjoint_union(U.path_graph(2), U.cycle_graph(3)))
 
 
+def _relabel(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_isomorphism_accepts_relabelings(rng):
     for _ in range(40):
         n = rng.randint(0, 8)
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                       if rng.random() < 0.4])
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert U.are_isomorphic(g, h)
+        assert U.are_isomorphic(g, _relabel(rng, g))
 
 
 def test_isomorphism_rejects_same_degree_sequence_pairs():
@@ -199,12 +204,90 @@ def test_isomorphism_rejects_same_degree_sequence_pairs():
     assert not U.are_isomorphic(U.path_graph(4), U.pattern("claw"))
 
 
+def _complete_multipartite(sizes):
+    g = U.edgeless_graph(0)
+    for size in sizes:
+        g = U.complete_join(g, U.edgeless_graph(size))
+    return g
+
+
+def _twin_heavy(rng, n):
+    """A complete multipartite graph, K_{a,b}, a cocktail party or a star
+    on n vertices (the cocktail party on at most 12)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, n - sum(sizes)))
+        return _complete_multipartite(sizes)
+    if kind == 1:
+        a = rng.randint(1, n - 1)
+        return _complete_multipartite([a, n - a])
+    if kind == 2:
+        # 2^k k! automorphisms, of which twins explain 2^k: keep k! small.
+        return _complete_multipartite([2] * min(n // 2, 6))
+    return Graph(n, [(0, v) for v in range(1, n)])
+
+
+def _edge_switch(rng, g, tries=20):
+    """g with edges ab, cd swapped for ac, bd (same degree sequence), or g
+    itself when no random try finds such a pair."""
+    edges = g.edges()
+    for _ in range(tries):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            rest = [e for e in edges if e not in ((a, b), (c, d), (b, a), (d, c))]
+            return Graph(g.n, rest + [(a, c), (b, d)])
+    return g
+
+
 def test_invariant_key_is_relabeling_invariant(rng):
     for _ in range(40):
         n = rng.randint(1, 8)
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                       if rng.random() < 0.5])
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert invariant_key(g) == invariant_key(h)
+        assert invariant_key(g) == invariant_key(_relabel(rng, g))
+    for _ in range(60):
+        n = rng.randint(2, 16)
+        g = _twin_heavy(rng, n)
+        if rng.random() < 0.5:
+            g = g.complement()
+        assert invariant_key(g) == invariant_key(_relabel(rng, g))
+    for n in (9, 12, 16):
+        for p in (0.2, 0.5):
+            g = random_graph(rng, n, p)
+            assert invariant_key(g) == invariant_key(_relabel(rng, g))
+    # 2-regular graphs whose one refined cell holds several orbits, so the
+    # search must branch on more than the first vertex of the cell.
+    for sizes in ((3, 4), (3, 5), (4, 5), (3, 3, 4), (3, 4, 5)):
+        g = U.edgeless_graph(0)
+        for k in sizes:
+            g = U.disjoint_union(g, U.cycle_graph(k))
+        for h in (g, g.complement()):
+            keys = {invariant_key(_relabel(rng, h)) for _ in range(6)}
+            assert keys == {invariant_key(h)}, sizes
+
+
+def test_invariant_key_agrees_with_naive_isomorphism(rng):
+    c6 = U.cycle_graph(6)
+    two_triangles = U.disjoint_union(U.cycle_graph(3), U.cycle_graph(3))
+    assert invariant_key(c6) != invariant_key(two_triangles)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        h = rng.choice((_edge_switch(rng, g), random_graph(rng, n, 0.5),
+                        _relabel(rng, _edge_switch(rng, g)), _relabel(rng, g)))
+        same = naive_isomorphic(g, h)
+        assert (invariant_key(g) == invariant_key(h)) == same, (g, h)
+        seen[same] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_census_keys_are_pairwise_distinct(census):
+    keys = [invariant_key(g) for n in range(1, 8) for g in census[n]]
+    assert len(keys) == 1252 and len(set(keys)) == len(keys)
