@@ -87,7 +87,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(self.adj[u].bit_count() for u in range(self.n)) // 2
+        return sum(r.bit_count() for r in self.adj) // 2
 
     @property
     def full_mask(self) -> int:

@@ -6,14 +6,17 @@ This module builds those and the other fixed patterns the structure theory
 keeps reaching for, finds induced embeddings of arbitrary small patterns, and
 decides unclutteredness.
 
-Membership is decided by a bitset search for forks in g and in its
-complement (an antifork of g is a fork of the complement), polynomial in n.
-Only a graph that holds a fork or an antifork pays for the ascending scan
-over 5-vertex subsets, which picks the lexicographically least witness.  The
-scan needs no pattern tables: a 5-vertex graph is a fork exactly when its
-degrees are {3,2,1,1,1} and an antifork exactly when they are {1,2,3,3,3},
-and the least embedding is read off the fork's roles (centre, inner leaf,
-tail, two outer leaves), in the complement rows for an antifork.
+Membership runs one bitset fork search and one bitset antifork search,
+both polynomial in n, on whichever of g and its complement has fewer edges:
+the class is closed under complementation, because a fork of the complement
+is an antifork of g.  So the complement is built only for a dense graph, and
+neither search walks the dense side.  Only a non-member pays for the
+ascending scan over 5-vertex subsets, which picks the lexicographically
+least witness.  The scan needs no pattern tables: a 5-vertex graph is a fork
+exactly when its degrees are {3,2,1,1,1} and an antifork exactly when they
+are {1,2,3,3,3}, and the least embedding is read off the fork's roles
+(centre, inner leaf, tail, two outer leaves), in the complement rows for an
+antifork.
 """
 
 from __future__ import annotations
@@ -153,6 +156,46 @@ def _has_fork(adj: tuple[int, ...]) -> bool:
     return False
 
 
+def _has_antifork(adj: tuple[int, ...]) -> bool:
+    """True iff the graph with these adjacency rows has an induced antifork.
+
+    An antifork is a diamond plus a pendant: an edge x~y, two nonadjacent
+    common neighbours d and c of x and y, and a vertex b adjacent to d alone.
+    For d in C = N(x) & N(y) the tips c come from C - N[d], and b from
+    N(d) - (N(x) | N(y)); an antifork exists iff some such b misses some c.
+    """
+    for x, nx in enumerate(adj):
+        ys = nx >> x + 1 << x + 1
+        while ys:
+            low_y = ys & -ys
+            ys ^= low_y
+            ny = adj[low_y.bit_length() - 1]
+            common = nx & ny
+            if not common & (common - 1):
+                continue
+            outside = ~(nx | ny)
+            ds = common
+            while ds:
+                low_d = ds & -ds
+                ds ^= low_d
+                nd = adj[low_d.bit_length() - 1]
+                tips = common & ~nd & ~low_d
+                if not tips:
+                    continue
+                pendants = nd & outside
+                # b misses c iff c misses b, so walk the smaller of the two
+                if tips.bit_count() < pendants.bit_count():
+                    walk, other = tips, pendants
+                else:
+                    walk, other = pendants, tips
+                while walk:
+                    low = walk & -walk
+                    walk ^= low
+                    if other & ~adj[low.bit_length() - 1]:
+                        return True
+    return False
+
+
 # A 5-vertex graph is a fork exactly when its sorted degrees are (1,1,1,2,3),
 # and an antifork, the fork's complement, exactly when they are (1,2,3,3,3).
 _SIGNATURES = {(1, 1, 1, 2, 3): "fork", (1, 2, 3, 3, 3): "antifork"}
@@ -174,14 +217,20 @@ def _fork_embedding(sub: tuple[int, ...], rows: list[int]) -> tuple[int, ...]:
 def is_uncluttered(g: Graph) -> PatternWitness | None:
     """None iff g has no induced fork or antifork; otherwise a witness.
 
-    The witness comes from the first 5-subset, in ascending order, whose
-    sorted in-subset degrees are a fork's or an antifork's, so it is
-    deterministic; the embedding is read off the fork's roles (in the
-    complement within the subset for an antifork) and is the least one.
-    That scan runs only after the bitset search has found a fork or an
-    antifork.
+    Membership is one fork search and one antifork search on the rows of g,
+    or of its complement when g has more than half of all possible edges;
+    since a fork of the complement is an antifork of g, the two decide the
+    same question, and the complement is built only for a dense g.  Only a
+    non-member pays for the witness scan: the witness comes from the first
+    5-subset, in ascending order, whose sorted in-subset degrees are a
+    fork's or an antifork's, so it is deterministic; the embedding is read
+    off the fork's roles (in the complement within the subset for an
+    antifork) and is the least one.
     """
-    if g.n < 5 or not (_has_fork(g.adj) or _has_fork(g.complement().adj)):
+    if g.n < 5:
+        return None
+    rows = g.adj if 4 * g.edge_count() <= g.n * (g.n - 1) else g.complement().adj
+    if not (_has_fork(rows) or _has_antifork(rows)):
         return None
     adj = g.adj
     for a, b, c, d in combinations(range(g.n), 4):

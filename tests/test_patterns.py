@@ -4,7 +4,8 @@ import pytest
 
 import uncluttered as U
 from uncluttered import Graph, InputError
-from uncluttered.patterns import _has_fork
+import uncluttered.patterns as P
+from uncluttered.patterns import _has_antifork, _has_fork
 
 from oracles import (
     compose_candled,
@@ -141,6 +142,8 @@ def test_uncluttered_agrees_with_subset_scan_on_every_labelled_five_vertex_graph
     forks = antiforks = 0
     for mask in range(1 << len(pairs)):
         g = Graph(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        assert (_has_antifork(g.adj) == U.has_induced(g, "antifork")
+                == _has_fork(g.complement().adj)), mask
         if not _agrees_with_subset_scan(g):
             name = U.is_uncluttered(g).pattern_name
             forks += name == "fork"
@@ -166,6 +169,8 @@ def test_uncluttered_agrees_with_subset_scan_on_the_census(census):
             # a false positive of the bitset search would only cost a scan,
             # so check it on its own as well
             assert _has_fork(g.adj) == U.has_induced(g, "fork"), U.to_graph6(g)
+            assert (_has_antifork(g.adj) == U.has_induced(g, "antifork")
+                    == _has_fork(g.complement().adj)), U.to_graph6(g)
 
 
 def _line_graph_member(rng, m):
@@ -201,3 +206,42 @@ def test_uncluttered_agrees_with_subset_scan_on_large_members(rng):
         if g.n < 64:
             near += not _agrees_with_subset_scan(_plus_one_vertex(rng, g))
     assert near >= len(members) // 2
+
+
+def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
+    """Both bitset searches get the rows of g or of its complement, whichever
+    has fewer edges, and a sparse g builds no complement."""
+    line = _line_graph_member(rng, 40)
+    assert line.n >= 32
+    cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
+    candled = compose_candled(_line_graph_member(rng, 32), cand,
+                              [v for z in zs for v in z])
+    searched = []
+    complements = []
+    complement = Graph.complement
+
+    def recording(search):
+        def wrapped(rows):
+            searched.append(sum(r.bit_count() for r in rows) // 2)
+            return search(rows)
+        return wrapped
+
+    def counted_complement(self):
+        complements.append(self.n)
+        return complement(self)
+
+    inputs = [line, line.complement(), candled]
+    monkeypatch.setattr(P, "_has_fork", recording(_has_fork))
+    monkeypatch.setattr(P, "_has_antifork", recording(_has_antifork))
+    monkeypatch.setattr(Graph, "complement", counted_complement)
+    sparse = 0
+    for g in inputs:
+        searched.clear()
+        complements.clear()
+        assert U.is_uncluttered(g) is None
+        assert len(searched) == 2
+        assert all(4 * m <= g.n * (g.n - 1) for m in searched), (g.n, searched)
+        is_sparse = 4 * g.edge_count() <= g.n * (g.n - 1)
+        sparse += is_sparse
+        assert len(complements) == (0 if is_sparse else 1)
+    assert 0 < sparse < len(inputs)
