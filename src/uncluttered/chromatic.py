@@ -10,9 +10,10 @@ through a greedy maximal matching, whose matched endpoints cover every root
 edge and hand each one the color of its smallest covering endpoint.
 
 The recursion runs on vertex masks of the input and writes every color into
-one list in the input's own labels; it takes (anti)components from one sweep
-of the rows (or of the complement rows, built once) and only the two leaves
-build a ``Graph`` of their part.
+one list in the input's own labels; it takes components and anticomponents
+from one sweep of the rows (read complemented for anticomponents, so no
+complement is built) and only the two leaves build a ``Graph`` of their
+part.
 
 The exact clique and chromatic oracles exist to audit that construction, not
 to replace it; both search bitmasks and are meant for n well under twenty.
@@ -290,24 +291,23 @@ def cover_color_complement_line(h: Graph) -> Coloring:
 # -- the constructive theorem colorer ----------------------------------------
 
 
-def _color_on(g: Graph, cadj: tuple[int, ...], within: int, cols: list[int],
-              base: int) -> int:
+def _color_on(g: Graph, within: int, cols: list[int], base: int) -> int:
     """Color g induced on ``within`` into ``cols`` with the palette
-    base..base+k-1 and return k; ``cadj`` holds the complement rows of g."""
+    base..base+k-1 and return k."""
     if not within:
         return 0
     comps = _component_masks(g.adj, within)
     if len(comps) > 1:
-        return max(_color_on(g, cadj, part, cols, base) for part in comps)
-    anti = _component_masks(cadj, within)
+        return max(_color_on(g, part, cols, base) for part in comps)
+    anti = _component_masks(g.adj, within, g.full_mask)
     if len(anti) > 1:
         k = 0
         for part in anti:
-            k += _color_on(g, cadj, part, cols, base + k)
+            k += _color_on(g, part, cols, base + k)
         return k
     v = _simplicial_in(g.adj, within)
     if v is not None:
-        k = _color_on(g, cadj, within & ~(1 << v), cols, base)
+        k = _color_on(g, within & ~(1 << v), cols, base)
         taken = {cols[w] for w in _mask_to_tuple(g.adj[v] & within)}
         c = base
         while c in taken:
@@ -317,7 +317,7 @@ def _color_on(g: Graph, cadj: tuple[int, ...], within: int, cols: list[int],
     pair = _nonadjacent_twins_in(g.adj, within)
     if pair is not None:
         u, v = pair
-        k = _color_on(g, cadj, within & ~(1 << u), cols, base)
+        k = _color_on(g, within & ~(1 << u), cols, base)
         cols[u] = cols[v]
         return k
     h = g.induced(_mask_to_tuple(within))
@@ -342,5 +342,5 @@ def color_uncluttered(g: Graph) -> Coloring:
     if witness is not None:
         raise NotUnclutteredError(witness)
     cols = [0] * g.n
-    num = _color_on(g, g.complement().adj, g.full_mask, cols, 0)
+    num = _color_on(g, g.full_mask, cols, 0)
     return Coloring(tuple(cols), num, clique_number(g))

@@ -128,13 +128,15 @@ class Graph:
 
     def anticomponents(self) -> list[tuple[int, ...]]:
         """Components of the complement, same ordering convention."""
-        return self.complement().components()
+        full = self.full_mask
+        return [_mask_to_tuple(m) for m in _component_masks(self.adj, full, full)]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(_component_masks(self.adj, self.full_mask)) == 1
 
     def is_anticonnected(self) -> bool:
-        return self.complement().is_connected()
+        full = self.full_mask
+        return self.n <= 1 or len(_component_masks(self.adj, full, full)) == 1
 
     # -- dunder -----------------------------------------------------------
 
@@ -192,25 +194,40 @@ def _is_stable_mask(adj: tuple[int, ...], mask: int) -> bool:
     return _is_anticomplete_mask(adj, mask, mask)
 
 
-def _component_masks(adj: tuple[int, ...], within: int) -> list[int]:
-    """Components of the subgraph induced on ``within``, by smallest member."""
+def _component_masks(adj: tuple[int, ...], within: int, flip: int = 0) -> list[int]:
+    """Components of the subgraph induced on ``within``, by smallest member.
+
+    Each row is read as ``adj[v] ^ flip``; with ``flip`` the full mask that
+    is the complement row (plus v itself, which the sweep already holds), so
+    the same sweep yields anticomponents without building a complement.
+    Each round walks the smaller of the frontier and the unreached rest:
+    the frontier's rows, or the rest vertices whose rows meet the frontier.
+    """
     left = within
     comps = []
     while left:
-        seed = left & -left
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & left & ~comp
-            comp |= frontier
+        frontier = comp = left & -left
+        left ^= frontier
+        while frontier and left:
+            new = 0
+            if frontier.bit_count() <= left.bit_count():
+                m = frontier
+                while m:
+                    low = m & -m
+                    new |= adj[low.bit_length() - 1] ^ flip
+                    m ^= low
+                new &= left
+            else:
+                m = left
+                while m:
+                    low = m & -m
+                    if (adj[low.bit_length() - 1] ^ flip) & frontier:
+                        new |= low
+                    m ^= low
+            frontier = new
+            comp |= new
+            left ^= new
         comps.append(comp)
-        left &= ~comp
     return comps
 
 

@@ -6,17 +6,22 @@ This module builds those and the other fixed patterns the structure theory
 keeps reaching for, finds induced embeddings of arbitrary small patterns, and
 decides unclutteredness.
 
-Membership runs one bitset fork search and one bitset antifork search,
-both polynomial in n, on whichever of g and its complement has fewer edges:
-the class is closed under complementation, because a fork of the complement
-is an antifork of g.  So the complement is built only for a dense graph, and
+The fork and the antifork are both connected and co-connected, so every
+one of them lies inside a part of g that is connected and co-connected:
+split g into components, those into anticomponents, and so on down.
+Membership runs one bitset fork search and one bitset antifork search, both
+polynomial in n, on each such part with at least five vertices, reading the
+rows of whichever of g and its complement has fewer edges: the class is
+closed under complementation, because a fork of the complement is an
+antifork of g.  So the complement is built only for a dense graph, and
 neither search walks the dense side.  Only a non-member pays for the
-ascending scan over 5-vertex subsets, which picks the lexicographically
-least witness.  The scan needs no pattern tables: a 5-vertex graph is a fork
-exactly when its degrees are {3,2,1,1,1} and an antifork exactly when they
-are {1,2,3,3,3}, and the least embedding is read off the fork's roles
-(centre, inner leaf, tail, two outer leaves), in the complement rows for an
-antifork.
+ascending scan over 5-vertex subsets, and only in the parts whose searches
+hit; the least of their first witnesses is the lexicographically least
+witness of g, because the parts are disjoint.  The scan needs no pattern
+tables: a 5-vertex graph is a fork exactly when its degrees are {3,2,1,1,1}
+and an antifork exactly when they are {1,2,3,3,3}, and the least embedding
+is read off the fork's roles (centre, inner leaf, tail, two outer leaves),
+in the complement rows for an antifork.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError
-from .graph import Graph, _is_clique_mask
+from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
 
 PATTERN_NAMES = ("fork", "antifork", "claw", "anticlaw", "diamond",
                  "bull", "net", "antinet", "P4", "triangle")
@@ -214,30 +219,39 @@ def _fork_embedding(sub: tuple[int, ...], rows: list[int]) -> tuple[int, ...]:
     return ((outer & -outer).bit_length() - 1, b, c, d, outer.bit_length() - 1)
 
 
-def is_uncluttered(g: Graph) -> PatternWitness | None:
-    """None iff g has no induced fork or antifork; otherwise a witness.
+def _parts(rows: tuple[int, ...], within: int, full: int, flip: int = 0,
+           top: bool = True) -> list[int]:
+    """The parts of ``within`` that are connected and co-connected and have
+    at least five vertices, found by splitting into components, then each
+    into anticomponents, and so on down.
 
-    Membership is one fork search and one antifork search on the rows of g,
-    or of its complement when g has more than half of all possible edges;
-    since a fork of the complement is an antifork of g, the two decide the
-    same question, and the complement is built only for a dense g.  Only a
-    non-member pays for the witness scan: the witness comes from the first
-    5-subset, in ascending order, whose sorted in-subset degrees are a
-    fork's or an antifork's, so it is deterministic; the embedding is read
-    off the fork's roles (in the complement within the subset for an
-    antifork) and is the least one.
+    Each split sweeps with ``flip`` (0 for components, ``full`` for
+    anticomponents); a piece of one split is connected in that sense, so
+    below the top only the other sense is left to try.  A part that does
+    not split comes back as the sweep's own list.
     """
-    if g.n < 5:
-        return None
-    rows = g.adj if 4 * g.edge_count() <= g.n * (g.n - 1) else g.complement().adj
-    if not (_has_fork(rows) or _has_antifork(rows)):
-        return None
-    adj = g.adj
-    for a, b, c, d in combinations(range(g.n), 4):
+    pieces = _component_masks(rows, within, flip)
+    if len(pieces) == 1:
+        return _parts(rows, within, full, flip ^ full, False) if top else pieces
+    out = []
+    for piece in pieces:
+        if piece.bit_count() >= 5:
+            out += _parts(rows, piece, full, flip ^ full, False)
+    return out
+
+
+def _least_witness(adj: tuple[int, ...], part: int) -> tuple:
+    """(subset, name, rows) for the first 5-subset of the vertices of
+    ``part``, in lexicographic order, that induces a fork or an antifork,
+    with the fork's rows within the subset (the complement's for an
+    antifork).  The caller has found that the part holds one."""
+    vs = _mask_to_tuple(part)
+    after = {v: vs[i + 1:] for i, v in enumerate(vs)}
+    for a, b, c, d in combinations(vs, 4):
         m4 = 1 << a | 1 << b | 1 << c | 1 << d
         e4 = ((adj[a] & m4).bit_count() + (adj[b] & m4).bit_count()
               + (adj[c] & m4).bit_count() + (adj[d] & m4).bit_count()) // 2
-        for e in range(d + 1, g.n):
+        for e in after[d]:
             # a fork has 4 edges and an antifork 6; skip the rest unsorted
             if e4 + (adj[e] & m4).bit_count() not in (4, 6):
                 continue
@@ -248,5 +262,42 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
             if name is not None:
                 if name == "antifork":
                     rows = [m & ~r & ~(1 << v) for v, r in zip(sub, rows)]
-                return PatternWitness(name, pattern(name), _fork_embedding(sub, rows))
-    return None
+                return sub, name, rows
+
+
+def is_uncluttered(g: Graph) -> PatternWitness | None:
+    """None iff g has no induced fork or antifork; otherwise a witness.
+
+    The fork and the antifork are connected and co-connected, so each one
+    lies inside a part of g that is connected and co-connected: split g
+    into components, those into anticomponents, and so on down.  Membership
+    is one fork search and one antifork search on each part with at least
+    five vertices, run on the rows of g, or of its complement when g has
+    more than half of all possible edges; since a fork of the complement is
+    an antifork of g, the two decide the same question, and the complement
+    is built only for a dense g.  Only a non-member pays for the witness
+    scan, and only in the parts that hold a fork or antifork: the witness
+    comes from the first 5-subset, in ascending order, whose sorted
+    in-subset degrees are a fork's or an antifork's, least over those
+    parts, so it is deterministic; the embedding is read off the fork's
+    roles (in the complement within the subset for an antifork) and is the
+    least one.
+    """
+    if g.n < 5:
+        return None
+    full = g.full_mask
+    rows = g.adj if 4 * g.edge_count() <= g.n * (g.n - 1) else g.complement().adj
+    best = None
+    for part in _parts(rows, full, full):
+        if part == full:
+            on_part = rows
+        else:
+            on_part = [r & part if part >> v & 1 else 0 for v, r in enumerate(rows)]
+        if _has_fork(on_part) or _has_antifork(on_part):
+            found = _least_witness(g.adj, part)
+            if best is None or found[0] < best[0]:
+                best = found
+    if best is None:
+        return None
+    sub, name, rows = best
+    return PatternWitness(name, pattern(name), _fork_embedding(sub, rows))

@@ -118,6 +118,20 @@ def naive_isomorphic(g, h):
                for p in permutations(range(g.n)))
 
 
+def naive_components(g, vs):
+    """Components of g induced on the vertices vs, each a sorted tuple,
+    ordered by smallest member, by pairwise merging of labels."""
+    label = {v: v for v in vs}
+    for u, v in combinations(sorted(vs), 2):
+        if g.has_edge(u, v) and label[u] != label[v]:
+            old, new = max(label[u], label[v]), min(label[u], label[v])
+            label = {w: new if c == old else c for w, c in label.items()}
+    parts = {}
+    for v in sorted(vs):
+        parts.setdefault(label[v], []).append(v)
+    return [tuple(p) for _, p in sorted(parts.items())]
+
+
 def naive_triangle_free(g):
     return all(not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c))
                for a, b, c in combinations(range(g.n), 3))

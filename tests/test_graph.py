@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 
 import uncluttered as U
 from uncluttered import Graph, InputError
-from uncluttered.graph import MAX_VERTICES, invariant_key
+from uncluttered.graph import MAX_VERTICES, _component_masks, _mask_to_tuple, invariant_key
 
-from oracles import naive_isomorphic, random_graph
+from oracles import naive_components, naive_isomorphic, random_graph
 
 
 @st.composite
@@ -113,6 +113,20 @@ def test_components_and_connectivity():
     assert U.complete_graph(3).anticomponents() == [(0,), (1,), (2,)]
     assert Graph(0).components() == []
     assert Graph(0).is_connected() and Graph(0).is_anticonnected()
+
+
+def test_component_sweep_agrees_with_pairwise_merging(rng):
+    """Both walks of the sweep (the frontier's rows, or the rest's rows
+    against the frontier), with and without the complementing flip, on
+    random vertex subsets."""
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, rng.choice((0.05, 0.1, 0.3, 0.7, 0.9)))
+        within = rng.getrandbits(n) if rng.random() < 0.7 else g.full_mask
+        vs = _mask_to_tuple(within)
+        for flip, h in ((0, g), (g.full_mask, g.complement())):
+            got = [_mask_to_tuple(m) for m in _component_masks(g.adj, within, flip)]
+            assert got == naive_components(h, vs), (U.to_graph6(g), within, flip)
 
 
 def test_components_match_complement_anticomponents(census):

@@ -5,6 +5,7 @@ import pytest
 import uncluttered as U
 from uncluttered import Graph, InputError
 import uncluttered.patterns as P
+from uncluttered.graph import _mask_to_tuple
 from uncluttered.patterns import _has_antifork, _has_fork
 
 from oracles import (
@@ -208,21 +209,38 @@ def test_uncluttered_agrees_with_subset_scan_on_large_members(rng):
     assert near >= len(members) // 2
 
 
+def _connected_line_member(rng, max_n):
+    """Line graph of a connected random triangle-free root, connected and
+    co-connected, with at most max_n vertices."""
+    while True:
+        line = U.line_graph(random_connected_triangle_free(rng, rng.randint(8, 14)))
+        if 24 <= line.n <= max_n and line.is_anticonnected():
+            return line
+
+
 def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
-    """Both bitset searches get the rows of g or of its complement, whichever
-    has fewer edges, and a sparse g builds no complement."""
+    """Both bitset searches run once on each connected, co-connected part
+    with at least five vertices, on the rows of g or of its complement,
+    whichever has fewer edges, masked to the part; a sparse g builds no
+    complement.  A k = 1 candled member, Z joined to K_Y plus L(H), is
+    searched on its L(H) part alone."""
     line = _line_graph_member(rng, 40)
     assert line.n >= 32
     cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
     candled = compose_candled(_line_graph_member(rng, 32), cand,
                               [v for z in zs for v in z])
-    searched = []
+    cand1, _, zs1 = random_candelabrum(rng, max_k=1, max_part=4)
+    lh = _connected_line_member(rng, 64 - cand1.n)
+    candled1 = compose_candled(lh, cand1, zs1[0])
+    lh_part = ((1 << lh.n) - 1) << cand1.n
+    seen = {"fork": [], "antifork": []}
     complements = []
     complement = Graph.complement
 
-    def recording(search):
+    def recording(name, search):
         def wrapped(rows):
-            searched.append(sum(r.bit_count() for r in rows) // 2)
+            assert 2 * sum(r.bit_count() for r in rows) <= len(rows) * (len(rows) - 1)
+            seen[name].append(sum(1 << v for v, r in enumerate(rows) if r))
             return search(rows)
         return wrapped
 
@@ -230,18 +248,96 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
         complements.append(self.n)
         return complement(self)
 
-    inputs = [line, line.complement(), candled]
-    monkeypatch.setattr(P, "_has_fork", recording(_has_fork))
-    monkeypatch.setattr(P, "_has_antifork", recording(_has_antifork))
+    inputs = [line, line.complement(), candled, candled1]
+    monkeypatch.setattr(P, "_has_fork", recording("fork", _has_fork))
+    monkeypatch.setattr(P, "_has_antifork", recording("antifork", _has_antifork))
     monkeypatch.setattr(Graph, "complement", counted_complement)
     sparse = 0
     for g in inputs:
-        searched.clear()
+        for calls in seen.values():
+            calls.clear()
         complements.clear()
         assert U.is_uncluttered(g) is None
-        assert len(searched) == 2
-        assert all(4 * m <= g.n * (g.n - 1) for m in searched), (g.n, searched)
+        parts = seen["fork"]
+        assert sorted(seen["antifork"]) == sorted(parts) and parts
+        covered = 0
+        for part in parts:
+            assert not covered & part
+            covered |= part
+            h = g.induced(_mask_to_tuple(part))
+            assert h.n >= 5 and h.is_connected() and h.is_anticonnected()
         is_sparse = 4 * g.edge_count() <= g.n * (g.n - 1)
         sparse += is_sparse
         assert len(complements) == (0 if is_sparse else 1)
+        if g is candled1:
+            assert parts == [lh_part] and is_sparse
     assert 0 < sparse < len(inputs)
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _piece(rng, n):
+    """A random graph on n vertices; from five vertices up it is drawn
+    connected and co-connected, and half the time holding a fork or an
+    antifork."""
+    want = n >= 5 and rng.random() < 0.5
+    while True:
+        g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        if n < 5 or (g.is_connected() and g.is_anticonnected()
+                     and (not want or subset_scan_uncluttered(g))):
+            return g
+
+
+def _composed(rng, n, depth=0):
+    """A disjoint union or complete join of 2-4 pieces on n vertices in all,
+    a piece itself composed while depth < 2, or a random graph."""
+    k = rng.randint(2, min(4, n))
+    while True:
+        sizes = [rng.choice((1, 2, 3, 5, 6, 7)) for _ in range(k)]
+        if sum(sizes) == n:
+            break
+    pieces = [_composed(rng, s, depth + 1) if depth < 2 and s >= 4 and rng.random() < 0.3
+              else _piece(rng, s)
+              for s in sizes]
+    combine = U.disjoint_union if rng.random() < 0.5 else U.complete_join
+    g = pieces[0]
+    for h in pieces[1:]:
+        g = combine(g, h)
+    return g
+
+
+def test_least_witness_across_parts_agrees_with_subset_scan(rng):
+    """Nested unions and joins with shuffled labels, so that the least
+    witness often lies in a part after the one holding the least vertex,
+    and several parts often hold witnesses."""
+    members = several = later = 0
+    for _ in range(400):
+        g = _shuffled(rng, _composed(rng, rng.randint(10, 12)))
+        members += _agrees_with_subset_scan(g)
+        w = U.is_uncluttered(g)
+        if w is None:
+            continue
+        parts = P._parts(g.adj, g.full_mask, g.full_mask)
+        several += sum(bool(subset_scan_uncluttered(g.induced(_mask_to_tuple(part))))
+                       for part in parts) > 1
+        first = min(parts, key=lambda part: part & -part)
+        later += not first >> w.embedding[0] & 1
+    assert 0 < members < 400
+    assert several >= 20 and later >= 5, (several, later)
+
+
+def test_least_witness_past_a_large_part():
+    """A fork on the last five labels behind a clique or an edgeless graph on
+    all the others: only the fork's part is scanned."""
+    fork = U.pattern("fork")
+    for n in (24, 40, 64):
+        for rest in (U.complete_graph(n - 5), U.edgeless_graph(n - 5)):
+            g = U.disjoint_union(rest, fork)
+            w = U.is_uncluttered(g)
+            assert (w.pattern_name, w.embedding) == ("fork", tuple(range(n - 5, n)))
+            if n == 24:
+                assert _agrees_with_subset_scan(g) is False
