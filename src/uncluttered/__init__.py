@@ -60,9 +60,7 @@ from .modular import (
     find_nonadjacent_twins,
     find_nontrivial_homogeneous_set,
     find_simplicial_vertex,
-    is_antisimplicial,
     is_simplicial,
-    smallest_module_containing,
 )
 from .patterns import (
     PATTERN_NAMES,
@@ -76,12 +74,10 @@ from .structure import (
     CandelabrumStructure,
     CandledDecomposition,
     RootGraph,
-    check_candelabrum,
     detect_candled,
     is_triangle_free,
     line_graph,
     recognize_candelabrum,
-    recognize_candelabrum_with_base,
     recognize_line_graph_triangle_free,
     verify_candled,
     verify_root,

@@ -10,9 +10,10 @@ The private mask kernels (clique, stable, complete, anticomplete, component
 sweep, and the complete/anticomplete/mixed split of outside vertices) take
 rows and vertex masks.  They are the one implementation of each check: the
 public predicates validate input and call them, and the other layers call
-them on parts of a graph in its own labels.  One equitable-refinement
-kernel, ``_refine``, prunes both the canonical form (``invariant_key``) and
-the pairwise isomorphism test (``are_isomorphic``).
+them on parts of a graph in its own labels.  Isomorphism has one engine:
+the canonical form ``invariant_key``, an individualization-refinement search
+over ``_refine`` pruned by the automorphisms it finds; ``are_isomorphic``
+compares two keys.
 """
 
 from __future__ import annotations
@@ -367,15 +368,15 @@ def complete_join(g: Graph, h: Graph) -> Graph:
 
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
-    """Coarsest equitable refinement of an ordered partition into cell masks.
+    """Coarsest equitable refinement of an ordered partition of all the
+    vertices into cell masks.
 
     Each round splits every cell by its members' neighbour counts in every
     cell, the parts ordered by that count vector, until no cell splits.  The
     order depends on the counts alone, so relabelling the graph relabels the
     result cell by cell.
     """
-    size = sum(c.bit_count() for c in cells)
-    while len(cells) < size:
+    while len(cells) < len(adj):
         out = []
         for cell in cells:
             if not cell & (cell - 1):
@@ -399,102 +400,129 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     return cells
 
 
-def _least_leaf(adj: tuple[int, ...], cells: list[int],
-                best: tuple[int, ...] | None) -> tuple[int, ...] | None:
-    """The least of ``best`` and the relabelled rows at the discrete leaves
-    below ``cells``, individualizing the vertices of the first non-singleton
-    cell in turn.  A vertex with the same open or closed neighbourhood as
-    one already tried is skipped: swapping two twins is an automorphism that
-    fixes the partition, so both choices reach the same leaves."""
+def _orbit_closure(mask: int, gens: list[list[int]]) -> int:
+    """Least superset of ``mask`` that every permutation in ``gens`` maps
+    into itself: the union of the orbits that meet ``mask``."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        for gamma in gens:
+            w = 1 << gamma[v]
+            if not mask & w:
+                mask |= w
+                todo |= w
+    return mask
+
+
+def _leaf(adj: tuple[int, ...], cells: list[int], path: list[int], found: list) -> int:
+    """Compare the leaf with discrete ``cells`` to the first and the best
+    leaf in ``found``; return the depth at which the search resumes.
+
+    ``found`` holds the first leaf, the best (least) leaf, each as
+    (relabelled rows, vertex order, individualized path), and the list of
+    automorphisms met.  A leaf whose rows equal the first's or the best's
+    gives the automorphism that maps that leaf's order onto this one
+    position by position.  It fixes every vertex individualized above the
+    node where the two paths part and maps that node's earlier child to the
+    current one, so the current subtree is its image of an explored one and
+    the search resumes at that node.
+    """
+    rows = []
+    for c in cells:
+        row = adj[c.bit_length() - 1]
+        new = 0
+        for j, d in enumerate(cells):
+            if row & d:
+                new |= 1 << j
+        rows.append(new)
+    leaf = tuple(rows)
+    first, best, autos = found
+    if best is None:
+        found[0] = found[1] = (leaf, cells, tuple(path))
+        return len(path)
+    for other in (first, best):
+        if leaf == other[0]:
+            gamma = [0] * len(cells)
+            for a, b in zip(other[1], cells):
+                gamma[a.bit_length() - 1] = b.bit_length() - 1
+            autos.append(gamma)
+            return next(i for i, (u, v) in enumerate(zip(other[2], path)) if u != v)
+    if leaf < best[0]:
+        found[1] = (leaf, cells, tuple(path))
+    return len(path)
+
+
+def _least_leaf(adj: tuple[int, ...], cells: list[int], path: list[int],
+                found: list) -> int:
+    """Search the leaves below ``cells``, reached by individualizing the
+    vertices of ``path``, into ``found`` (see ``_leaf``); return the depth at
+    which the search resumes, ``len(path)`` unless an automorphism sends it
+    back further.
+
+    The children individualize the vertices of the first non-singleton
+    cell in turn.  A vertex is skipped when it has the same open or closed
+    neighbourhood as one already tried (swapping two twins is an
+    automorphism that fixes the partition), or when it lies in the orbit of
+    an explored child under the automorphisms found that fix ``path``.
+    Either way its subtree is an automorphic image of one explored, with
+    the same leaves.
+    """
     cells = _refine(adj, cells)
     for i, cell in enumerate(cells):
         if cell & (cell - 1):
             break
     else:
-        rows = []
-        for c in cells:
-            row = adj[c.bit_length() - 1]
-            new = 0
-            for j, d in enumerate(cells):
-                if row & d:
-                    new |= 1 << j
-            rows.append(new)
-        leaf = tuple(rows)
-        return leaf if best is None or leaf < best else best
+        return _leaf(adj, cells, path, found)
+    depth = len(path)
     head, tail = cells[:i], cells[i + 1:]
+    autos = found[2]
+    seen = len(autos)
+    fixing: list[list[int]] = []
+    explored = 0  # the orbits of the children explored so far
     tried = set()
     m = cell
     while m:
         low = m & -m
         m ^= low
         row = adj[low.bit_length() - 1]
-        if row in tried or row | low in tried:
+        if low & explored or row in tried or row | low in tried:
             continue
         tried.add(row)
         tried.add(row | low)
-        best = _least_leaf(adj, head + [low, cell ^ low] + tail, best)
-    return best
+        path.append(low.bit_length() - 1)
+        back = _least_leaf(adj, head + [low, cell ^ low] + tail, path, found)
+        path.pop()
+        if back < depth:
+            return back
+        explored |= low
+        if len(autos) > seen:
+            fixing += [a for a in autos[seen:] if all(a[v] == v for v in path)]
+            seen = len(autos)
+        if fixing:
+            explored = _orbit_closure(explored, fixing)
+    return depth
 
 
 def invariant_key(g: Graph) -> tuple[int, ...]:
     """Canonical form: equal keys iff the graphs are isomorphic.
 
-    Individualization-refinement without automorphism pruning: the key is
-    the least adjacency-row tuple over the discrete leaves of the search
-    tree, so its cost grows with the automorphism group that twins do not
-    explain (seconds for a cycle of 64 vertices, minutes for the 6-cube).
-    It suits hashing many small graphs, as the census does; to test one
-    pair, use ``are_isomorphic``.
+    Individualization-refinement with automorphism pruning (McKay and
+    Piperno, Practical graph isomorphism II, 2014): the key is the least
+    adjacency-row tuple over the discrete leaves of the search tree.  Leaves
+    with equal rows yield automorphisms, which send the search back to where
+    the two paths part and prune children in the orbit of an explored one.
+    A pruned subtree is an automorphic image of an explored subtree, with
+    the same leaves, so pruning changes the cost and never the key.
     """
-    return _least_leaf(g.adj, [g.full_mask] if g.n else [], None)
+    found = [None, None, []]
+    _least_leaf(g.adj, [g.full_mask] if g.n else [], [], found)
+    return found[1][0]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Backtracking isomorphism test pruned by equitable refinement.
-
-    Vertices of g are mapped into the matching refined cell of h, rarest
-    cell first, and the search stops at the first isomorphism, so one pair
-    stays fast even for graphs with large automorphism groups (a few ms for
-    the 6-cube), where ``invariant_key`` would visit every automorphism.
-    The search is exact at any size it finishes at.
-    """
-    if g.n != h.n:
-        return False
-    if g.edge_count() != h.edge_count():
-        return False
-    start = [g.full_mask] if g.n else []
-    gcells, hcells = _refine(g.adj, start), _refine(h.adj, start)
-    sizes = [c.bit_count() for c in gcells]
-    if sizes != [c.bit_count() for c in hcells]:
-        return False
-    colors = [0] * g.n
-    for i, cell in enumerate(gcells):
-        for v in _mask_to_tuple(cell):
-            colors[v] = i
-    order = sorted(range(g.n), key=lambda v: (sizes[colors[v]], colors[v], v))
-    by_color = [_mask_to_tuple(cell) for cell in hcells]
-    return _extend(g, h, order, colors, by_color, [-1] * g.n, 0, 0)
-
-
-def _extend(g: Graph, h: Graph, order: list[int], colors: list[int],
-            by_color: list[tuple[int, ...]], mapping: list[int],
-            i: int, used: int) -> bool:
-    """Extend the mapping of order[:i], whose images are the bits of used,
-    to an isomorphism from g to h that maps each vertex into its own
-    refined cell; True (with mapping filled) iff one exists."""
-    if i == g.n:
-        return True
-    u = order[i]
-    for v in by_color[colors[u]]:
-        if used >> v & 1:
-            continue
-        ok = True
-        for j in range(i):
-            if g.has_edge(u, order[j]) != h.has_edge(v, mapping[order[j]]):
-                ok = False
-                break
-        if ok:
-            mapping[u] = v
-            if _extend(g, h, order, colors, by_color, mapping, i + 1, used | 1 << v):
-                return True
-    return False
+    """True iff g and h have equal vertex counts, equal edge counts and
+    equal canonical forms (``invariant_key``)."""
+    return (g.n == h.n and g.edge_count() == h.edge_count()
+            and invariant_key(g) == invariant_key(h))

@@ -1,4 +1,4 @@
-"""Homogeneous sets, twins, and (anti)simplicial vertices.
+"""Homogeneous sets, twins, and simplicial vertices.
 
 A homogeneous set is a vertex set X such that every outside vertex is either
 complete or anticomplete to X; the decomposition theory branches on whether a
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError
-from .graph import Graph, _is_clique_mask, _is_stable_mask, _mask_to_tuple, _sides
+from .graph import Graph, _is_clique_mask, _mask_to_tuple, _sides
 
 
 class HomogeneousSet(NamedTuple):
@@ -66,15 +66,6 @@ def _nonadjacent_twins_in(adj: tuple[int, ...], within: int) -> tuple[int, int] 
     return (groups[0][0], groups[0][1]) if groups else None
 
 
-def smallest_module_containing(g: Graph, u: int, v: int) -> tuple[int, ...]:
-    """Inclusion-minimal homogeneous set containing the pair {u, v}."""
-    if u == v:
-        raise InputError("module closure needs two distinct vertices")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise InputError(f"vertex out of range for n={g.n}")
-    return _mask_to_tuple(_closure_mask(g, 1 << u | 1 << v))
-
-
 def find_nontrivial_homogeneous_set(g: Graph) -> HomogeneousSet | None:
     """First nontrivial homogeneous set in pair-lexicographic order, or None.
 
@@ -98,11 +89,6 @@ def find_nontrivial_homogeneous_set(g: Graph) -> HomogeneousSet | None:
 def is_simplicial(g: Graph, v: int) -> bool:
     """True iff the neighborhood of v is a clique (isolated vertices count)."""
     return _is_clique_mask(g.adj, g.adj[v])
-
-
-def is_antisimplicial(g: Graph, v: int) -> bool:
-    """True iff the non-neighbors of v form a stable set (universal counts)."""
-    return _is_stable_mask(g.adj, g.full_mask & ~g.adj[v] & ~(1 << v))
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:

@@ -35,7 +35,6 @@ from .errors import InputError
 from .graph import (
     MAX_VERTICES,
     Graph,
-    _as_mask,
     _component_masks,
     _is_anticomplete_mask,
     _is_clique_mask,
@@ -200,27 +199,6 @@ class CandelabrumStructure(NamedTuple):
         return tuple(sorted(both))
 
 
-def check_candelabrum(g: Graph, clique_parts, stable_parts) -> bool:
-    """Validate the candelabrum conditions for a well-formed partition of V(g).
-
-    Raises InputError when the parts are not disjoint nonempty sets covering
-    all of g with equally many parts on each side; returns False when the
-    partition is well-formed but some adjacency condition fails.
-    """
-    ys = [tuple(sorted(p)) for p in clique_parts]
-    zs = [tuple(sorted(p)) for p in stable_parts]
-    if len(ys) != len(zs) or not ys:
-        raise InputError("candelabrum needs equally many parts, at least one")
-    if any(not p for p in ys) or any(not p for p in zs):
-        raise InputError("candelabrum parts must be nonempty")
-    all_vs = [v for p in ys + zs for v in p]
-    if len(set(all_vs)) != len(all_vs) or set(all_vs) != set(range(g.n)):
-        raise InputError("candelabrum parts must partition the vertex set")
-    ymasks = [sum(1 << v for v in p) for p in ys]
-    zmasks = [sum(1 << v for v in p) for p in zs]
-    return _candelabrum_holds(g.adj, ymasks, zmasks)
-
-
 def _candelabrum_holds(adj: tuple[int, ...], ymasks: list[int],
                        zmasks: list[int]) -> bool:
     """The candelabrum adjacency conditions on disjoint nonempty part masks."""
@@ -261,16 +239,6 @@ def _candelabrum_on(g: Graph, body: int, base: int) -> CandelabrumStructure | No
         return None
     return CandelabrumStructure(tuple(_mask_to_tuple(ym) for ym in ymasks),
                                 tuple(_mask_to_tuple(zm) for zm in zmasks))
-
-
-def recognize_candelabrum_with_base(g: Graph, base) -> CandelabrumStructure | None:
-    """The unique candelabrum structure on g with the given base, if any.
-
-    Given the base, everything is forced: the clique parts must be the
-    components of the non-base side, and each base vertex must attach to
-    exactly one of them.
-    """
-    return _candelabrum_on(g, g.full_mask, _as_mask(g, base))
 
 
 def recognize_candelabrum(g: Graph) -> CandelabrumStructure | None:

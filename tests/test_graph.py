@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 
 import pytest
@@ -7,7 +8,8 @@ import hypothesis.strategies as st
 
 import uncluttered as U
 from uncluttered import Graph, InputError
-from uncluttered.graph import MAX_VERTICES, _component_masks, _mask_to_tuple, invariant_key
+from uncluttered.graph import (
+    MAX_VERTICES, _component_masks, _mask_to_tuple, _refine, invariant_key)
 
 from oracles import naive_components, naive_isomorphic, random_graph
 
@@ -227,7 +229,7 @@ def _complete_multipartite(sizes):
 
 def _twin_heavy(rng, n):
     """A complete multipartite graph, K_{a,b}, a cocktail party or a star
-    on n vertices (the cocktail party on at most 12)."""
+    on n vertices."""
     kind = rng.randrange(4)
     if kind == 0:
         sizes = []
@@ -238,8 +240,8 @@ def _twin_heavy(rng, n):
         a = rng.randint(1, n - 1)
         return _complete_multipartite([a, n - a])
     if kind == 2:
-        # 2^k k! automorphisms, of which twins explain 2^k: keep k! small.
-        return _complete_multipartite([2] * min(n // 2, 6))
+        # 2^k k! automorphisms, of which twins explain 2^k.
+        return _complete_multipartite([2] * (n // 2))
     return Graph(n, [(0, v) for v in range(1, n)])
 
 
@@ -305,3 +307,65 @@ def test_invariant_key_agrees_with_naive_isomorphism(rng):
 def test_census_keys_are_pairwise_distinct(census):
     keys = [invariant_key(g) for n in range(1, 8) for g in census[n]]
     assert len(keys) == 1252 and len(set(keys)) == len(keys)
+
+
+# SHA-256 of invariant_key over the census representatives with n <= 7 and
+# their complements, each key as its comma-separated rows on one line, taken
+# before the search was pruned by automorphisms.
+CENSUS_KEY_SHA256 = "b502cc71d940693a0ca1cba8ea7a09e16e2e2ce7c1832cbe0cf1562eddfd8344"
+
+
+def test_census_keys_are_frozen(census):
+    lines = [",".join(map(str, invariant_key(h)))
+             for n in range(8) for g in census[n] for h in (g, g.complement())]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CENSUS_KEY_SHA256
+
+
+def _copies(g, k):
+    h = Graph(0)
+    for _ in range(k):
+        h = U.disjoint_union(h, g)
+    return h
+
+
+def _cube(d):
+    return Graph(1 << d, [(u, u | 1 << i) for u in range(1 << d) for i in range(d)
+                          if not u >> i & 1])
+
+
+def _cayley_z4_squared(steps):
+    """The Cayley graph of Z4 x Z4 with this symmetric set of steps."""
+    return Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                      if ((v // 4 - u // 4) % 4, (v - u) % 4) in steps])
+
+
+def test_keys_of_symmetric_graphs_where_refinement_does_nothing(rng):
+    """Regular graphs with large automorphism groups: refinement leaves one
+    cell, so only the automorphisms the search finds keep it small."""
+    rook = _cayley_z4_squared({(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)})
+    shrikhande = _cayley_z4_squared({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+    graphs = {
+        "C64": U.cycle_graph(64),
+        "8K2": _copies(U.complete_graph(2), 8),
+        "L(K8)": U.line_graph(U.complete_graph(8)),
+        "Q5": _cube(5),
+        "12C5": _copies(U.cycle_graph(5), 12),
+        "Petersen": U.line_graph(U.complete_graph(5)).complement(),
+        "Shrikhande": shrikhande,
+        "4x4 rook": rook,
+        "cocktail party": _complete_multipartite([2] * 32),
+    }
+    keys = {}
+    for name, g in graphs.items():
+        assert _refine(g.adj, [g.full_mask]) == [g.full_mask], name
+        h = _relabel(rng, g)
+        keys[name] = invariant_key(g)
+        assert invariant_key(h) == keys[name], name
+        assert U.are_isomorphic(g, h), name
+    # both are srg(16, 6, 2, 2), and 2-regular C64 and 2 C32 share a degree
+    # sequence too
+    assert keys["Shrikhande"] != keys["4x4 rook"]
+    assert not U.are_isomorphic(shrikhande, _relabel(rng, rook))
+    two_c32 = _relabel(rng, _copies(U.cycle_graph(32), 2))
+    assert invariant_key(two_c32) != keys["C64"]
+    assert not U.are_isomorphic(graphs["C64"], two_c32)

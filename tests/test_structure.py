@@ -151,23 +151,21 @@ def test_bipartite_root_refinement():
     assert not is_line_graph_of_bipartite(U.pattern("diamond"))
 
 
+def is_candelabrum(g, clique_parts, stable_parts):
+    """verify_candled on the candelabrum with these parts and an empty rest."""
+    st = U.CandelabrumStructure(clique_parts, stable_parts)
+    return U.verify_candled(g, U.CandledDecomposition(st, ()))
+
+
 def test_check_candelabrum_accepts_and_rejects():
     k2 = U.complete_graph(2)
-    assert U.check_candelabrum(k2, ((0,),), ((1,),))
-    assert not U.check_candelabrum(k2.complement(), ((0,),), ((1,),))
+    assert is_candelabrum(k2, ((0,),), ((1,),))
+    assert not is_candelabrum(k2.complement(), ((0,),), ((1,),))
     p3 = U.path_graph(3)
-    assert U.check_candelabrum(p3, ((1,),), ((0, 2),))
-    assert not U.check_candelabrum(p3, ((0, 2),), ((1,),))
+    assert is_candelabrum(p3, ((1,),), ((0, 2),))
+    assert not is_candelabrum(p3, ((0, 2),), ((1,),))
     two_pairs = Graph(6, [(0, 1), (2, 3), (1, 3), (1, 4), (3, 5), (4, 5)])
-    assert U.check_candelabrum(two_pairs, ((0, 1), (2, 3)), ((4,), (5,))) is False
-    with pytest.raises(InputError):
-        U.check_candelabrum(k2, (), ())
-    with pytest.raises(InputError):
-        U.check_candelabrum(k2, ((0,), (1,)), ((1,),))
-    with pytest.raises(InputError):
-        U.check_candelabrum(k2, ((0,),), ((),))
-    with pytest.raises(InputError):
-        U.check_candelabrum(U.path_graph(3), ((0,),), ((1,),))
+    assert is_candelabrum(two_pairs, ((0, 1), (2, 3)), ((4,), (5,))) is False
 
 
 def test_recognize_candelabrum_examples():
@@ -188,7 +186,7 @@ def test_recognize_candelabrum_examples():
     spiky = Graph(10, edges)
     cs = U.recognize_candelabrum(spiky)
     assert cs.k == 5 and cs.base == (0, 1, 2, 3, 4)
-    assert U.check_candelabrum(spiky, cs.clique_parts, cs.stable_parts)
+    assert is_candelabrum(spiky, cs.clique_parts, cs.stable_parts)
 
 
 def test_recognize_candelabrum_matches_base_scan(census):
@@ -199,7 +197,7 @@ def test_recognize_candelabrum_matches_base_scan(census):
             want = oracle_is_candelabrum(g)
             assert (got is not None) == want, U.to_graph6(g)
             if got is not None:
-                assert U.check_candelabrum(g, got.clique_parts, got.stable_parts)
+                assert is_candelabrum(g, got.clique_parts, got.stable_parts)
 
 
 def test_recognize_with_base_agrees_with_definition(census, rng):
@@ -208,21 +206,21 @@ def test_recognize_with_base_agrees_with_definition(census, rng):
         g = census[n][rng.randrange(len(census[n]))]
         mask = rng.randrange(1, 1 << n)
         base = [v for v in range(n) if mask >> v & 1]
-        got = U.recognize_candelabrum_with_base(g, base)
+        got = _candelabrum_on(g, g.full_mask, mask)
         want = oracle_candelabrum_with_base(g, base)
         assert (got is not None) == want, (U.to_graph6(g), base)
         if got is not None:
-            assert got.base == tuple(sorted(base))
-            assert U.check_candelabrum(g, got.clique_parts, got.stable_parts)
+            assert got.base == tuple(base)
+            assert is_candelabrum(g, got.clique_parts, got.stable_parts)
 
 
 def test_random_candelabra_are_recognized_and_uncluttered(rng):
     for _ in range(120):
         g, ys, zs = random_candelabrum(rng)
-        assert U.check_candelabrum(g, ys, zs)
+        assert is_candelabrum(g, ys, zs)
         cs = U.recognize_candelabrum(g)
         assert cs is not None
-        assert U.check_candelabrum(g, cs.clique_parts, cs.stable_parts)
+        assert is_candelabrum(g, cs.clique_parts, cs.stable_parts)
         assert U.is_uncluttered(g) is None
 
 
@@ -292,8 +290,8 @@ def test_candelabrum_on_matches_induce_and_relabel(census):
                 sub = g.induced(vs)
                 base = body
                 while True:
-                    st = U.recognize_candelabrum_with_base(
-                        sub, [i for i, v in enumerate(vs) if base >> v & 1])
+                    local = sum(1 << i for i, v in enumerate(vs) if base >> v & 1)
+                    st = _candelabrum_on(sub, sub.full_mask, local)
                     want = None if st is None else U.CandelabrumStructure(
                         *(tuple(tuple(vs[i] for i in p) for p in side) for side in st))
                     assert _candelabrum_on(g, body, base) == want, (U.to_graph6(g), body, base)
