@@ -11,17 +11,24 @@ one of them lies inside a part of g that is connected and co-connected:
 split g into components, those into anticomponents, and so on down.
 Membership runs one bitset fork search and one bitset antifork search, both
 polynomial in n, on each such part with at least five vertices, reading the
-rows of whichever of g and its complement has fewer edges: the class is
-closed under complementation, because a fork of the complement is an
-antifork of g.  So the complement is built only for a dense graph, and
-neither search walks the dense side.  Only a non-member pays for the
-ascending scan over 5-vertex subsets, and only in the parts whose searches
-hit; the least of their first witnesses is the lexicographically least
-witness of g, because the parts are disjoint.  The scan needs no pattern
-tables: a 5-vertex graph is a fork exactly when its degrees are {3,2,1,1,1}
-and an antifork exactly when they are {1,2,3,3,3}, and the least embedding
-is read off the fork's roles (centre, inner leaf, tail, two outer leaves),
-in the complement rows for an antifork.
+part's rows in whichever of g and its complement has fewer edges within the
+part: the class is closed under complementation, because a fork of the
+complement is an antifork of g.  So neither search walks a dense part, and
+no complement of g is built.  The searches skip every vertex whose
+neighbourhood has no room for the pattern: a fork's centre needs three
+pairwise nonadjacent neighbours, and an antifork's diamond spine x~y needs
+an induced path of length two inside N(x).  Line graphs are claw-free, and
+line graphs of triangle-free graphs are also diamond-free (Beineke 1970),
+so on those shapes the skips leave little to search.
+
+Only a non-member pays for the ascending scan over 5-vertex subsets, and
+only in the parts whose searches hit; the least of their first witnesses
+is the lexicographically least witness of g, because the parts are
+disjoint.  The scan needs no pattern tables: a 5-vertex graph is a fork
+exactly when its degrees are {3,2,1,1,1} and an antifork exactly when they
+are {1,2,3,3,3}, and the least embedding is read off the fork's roles
+(centre, inner leaf, tail, two outer leaves), in the complement rows for an
+antifork.
 """
 
 from __future__ import annotations
@@ -141,8 +148,18 @@ def _has_fork(adj: tuple[int, ...]) -> bool:
     leaves.  For c in N(b), the outer leaves must come from A = N(b) - N[c];
     for d in N(c) - N[b] they must also miss d, so a fork exists iff some
     A - N(d) holds two nonadjacent vertices.
+
+    A centre b is skipped when N(b) is the union of the two cliques
+    N(b) & N[u] and N(b) - N[u], u the least vertex of N(b): any three
+    vertices of N(b) then have two in one clique, so b is no claw's centre.
     """
     for b, nb in enumerate(adj):
+        if not nb:
+            continue
+        low_u = nb & -nb
+        near = nb & adj[low_u.bit_length() - 1] | low_u
+        if _is_clique_mask(adj, near) and _is_clique_mask(adj, nb & ~near):
+            continue
         cs = nb
         while cs:
             low_c = cs & -cs
@@ -161,6 +178,23 @@ def _has_fork(adj: tuple[int, ...]) -> bool:
     return False
 
 
+def _is_cluster_mask(adj: tuple[int, ...], mask: int) -> bool:
+    """True iff the vertices of mask induce a disjoint union of cliques:
+    every vertex's closed neighbourhood within mask is its own class."""
+    left = mask
+    while left:
+        low = left & -left
+        cls = (adj[low.bit_length() - 1] | low) & mask
+        m = cls ^ low
+        while m:
+            low = m & -m
+            if (adj[low.bit_length() - 1] | low) & mask != cls:
+                return False
+            m ^= low
+        left &= ~cls
+    return True
+
+
 def _has_antifork(adj: tuple[int, ...]) -> bool:
     """True iff the graph with these adjacency rows has an induced antifork.
 
@@ -168,8 +202,13 @@ def _has_antifork(adj: tuple[int, ...]) -> bool:
     common neighbours d and c of x and y, and a vertex b adjacent to d alone.
     For d in C = N(x) & N(y) the tips c come from C - N[d], and b from
     N(d) - (N(x) | N(y)); an antifork exists iff some such b misses some c.
+
+    An x is skipped when N(x) induces a disjoint union of cliques: each
+    spine x~y needs the induced path c-y-d inside N(x).
     """
     for x, nx in enumerate(adj):
+        if _is_cluster_mask(adj, nx):
+            continue
         ys = nx >> x + 1 << x + 1
         while ys:
             low_y = ys & -ys
@@ -272,29 +311,36 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
     lies inside a part of g that is connected and co-connected: split g
     into components, those into anticomponents, and so on down.  Membership
     is one fork search and one antifork search on each part with at least
-    five vertices, run on the rows of g, or of its complement when g has
-    more than half of all possible edges; since a fork of the complement is
-    an antifork of g, the two decide the same question, and the complement
-    is built only for a dense g.  Only a non-member pays for the witness
-    scan, and only in the parts that hold a fork or antifork: the witness
-    comes from the first 5-subset, in ascending order, whose sorted
-    in-subset degrees are a fork's or an antifork's, least over those
-    parts, so it is deterministic; the embedding is read off the fork's
-    roles (in the complement within the subset for an antifork) and is the
-    least one.
+    five vertices.  A part with k vertices is searched on the rows of g
+    within it, or on the complement's rows within it when it has more than
+    k(k-1)/4 edges; since a fork of the complement is an antifork of g, the
+    two decide the same question, and no complement of g is built.  Both
+    searches skip the vertices whose neighbourhoods cannot hold a claw or
+    an induced path of length two, which a fork's centre and an antifork's
+    spine need.  Only a
+    non-member pays for the witness scan, and only in the parts that hold a
+    fork or antifork: the witness comes from the first 5-subset, in
+    ascending order, whose sorted in-subset degrees are a fork's or an
+    antifork's, least over those parts, so it is deterministic; the
+    embedding is read off the fork's roles (in the complement within the
+    subset for an antifork) and is the least one.
     """
     if g.n < 5:
         return None
+    adj = g.adj
     full = g.full_mask
-    rows = g.adj if 4 * g.edge_count() <= g.n * (g.n - 1) else g.complement().adj
     best = None
-    for part in _parts(rows, full, full):
+    for part in _parts(adj, full, full):
         if part == full:
-            on_part = rows
+            rows = adj
         else:
-            on_part = [r & part if part >> v & 1 else 0 for v, r in enumerate(rows)]
-        if _has_fork(on_part) or _has_antifork(on_part):
-            found = _least_witness(g.adj, part)
+            rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(adj)]
+        k = part.bit_count()
+        if 2 * sum(r.bit_count() for r in rows) > k * (k - 1):
+            rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
+                    for v, r in enumerate(rows)]
+        if _has_fork(rows) or _has_antifork(rows):
+            found = _least_witness(adj, part)
             if best is None or found[0] < best[0]:
                 best = found
     if best is None:

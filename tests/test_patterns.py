@@ -220,10 +220,12 @@ def _connected_line_member(rng, max_n):
 
 def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     """Both bitset searches run once on each connected, co-connected part
-    with at least five vertices, on the rows of g or of its complement,
-    whichever has fewer edges, masked to the part; a sparse g builds no
-    complement.  A k = 1 candled member, Z joined to K_Y plus L(H), is
-    searched on its L(H) part alone."""
+    with at least five vertices, on the part's rows in whichever of g and
+    its complement has fewer edges within the part, and no complement of g
+    is built.  A k = 1 candled member, Z joined to K_Y plus L(H), is
+    searched on its L(H) part alone; a small sparse member beside the
+    complement of a line graph is sparse as a whole, but its dense part is
+    searched on the complement's rows."""
     line = _line_graph_member(rng, 40)
     assert line.n >= 32
     cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
@@ -233,14 +235,19 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     lh = _connected_line_member(rng, 64 - cand1.n)
     candled1 = compose_candled(lh, cand1, zs1[0])
     lh_part = ((1 << lh.n) - 1) << cand1.n
+    small = _line_graph_member(rng, 11)
+    beside = _shuffled(rng, U.disjoint_union(small, _connected_line_member(rng, 28).complement()))
+    assert 4 * beside.edge_count() <= beside.n * (beside.n - 1)
     seen = {"fork": [], "antifork": []}
     complements = []
     complement = Graph.complement
 
     def recording(name, search):
         def wrapped(rows):
-            assert 2 * sum(r.bit_count() for r in rows) <= len(rows) * (len(rows) - 1)
-            seen[name].append(sum(1 << v for v, r in enumerate(rows) if r))
+            part = sum(1 << v for v, r in enumerate(rows) if r)
+            k = part.bit_count()
+            assert 2 * sum(r.bit_count() for r in rows) <= k * (k - 1)
+            seen[name].append((part, list(rows)))
             return search(rows)
         return wrapped
 
@@ -248,7 +255,7 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
         complements.append(self.n)
         return complement(self)
 
-    inputs = [line, line.complement(), candled, candled1]
+    inputs = [line, line.complement(), candled, candled1, beside]
     monkeypatch.setattr(P, "_has_fork", recording("fork", _has_fork))
     monkeypatch.setattr(P, "_has_antifork", recording("antifork", _has_antifork))
     monkeypatch.setattr(Graph, "complement", counted_complement)
@@ -256,22 +263,93 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     for g in inputs:
         for calls in seen.values():
             calls.clear()
-        complements.clear()
         assert U.is_uncluttered(g) is None
-        parts = seen["fork"]
-        assert sorted(seen["antifork"]) == sorted(parts) and parts
+        searched = seen["fork"]
+        assert sorted(seen["antifork"]) == sorted(searched) and searched
+        parts = [part for part, _ in searched]
         covered = 0
-        for part in parts:
+        for part, rows in searched:
             assert not covered & part
             covered |= part
             h = g.induced(_mask_to_tuple(part))
             assert h.n >= 5 and h.is_connected() and h.is_anticonnected()
-        is_sparse = 4 * g.edge_count() <= g.n * (g.n - 1)
-        sparse += is_sparse
-        assert len(complements) == (0 if is_sparse else 1)
+            dense = 4 * h.edge_count() > h.n * (h.n - 1)
+            assert rows == [(part & ~r & ~(1 << v) if dense else r & part)
+                            if part >> v & 1 else 0 for v, r in enumerate(g.adj)]
+            if g is beside and h.n > small.n:
+                assert dense
+        sparse += 4 * g.edge_count() <= g.n * (g.n - 1)
         if g is candled1:
-            assert parts == [lh_part] and is_sparse
+            assert parts == [lh_part]
+    assert complements == []
     assert 0 < sparse < len(inputs)
+
+
+def test_uncluttered_agrees_with_subset_scan_on_mixed_density_compositions(rng):
+    """Unions and joins of a sparse line graph, the complement of another
+    and sometimes a very sparse or very dense random graph, labels
+    shuffled, and near-members one vertex away from them: the parts differ
+    in density from each other and from g."""
+    members = near = 0
+    for _ in range(60):
+        pieces = [_line_graph_member(rng, rng.randint(5, 8)),
+                  _line_graph_member(rng, rng.randint(5, 8)).complement()]
+        if rng.random() < 0.5:
+            pieces.append(_piece(rng, rng.randint(5, 7)))
+        rng.shuffle(pieces)
+        g = pieces[0]
+        for h in pieces[1:]:
+            g = (U.disjoint_union if rng.random() < 0.5 else U.complete_join)(g, h)
+        g = _shuffled(rng, g)
+        members += _agrees_with_subset_scan(g)
+        near += not _agrees_with_subset_scan(_plus_one_vertex(rng, g))
+    assert 10 <= members <= 50 and near >= 30, (members, near)
+
+
+def test_kernels_agree_with_has_induced_on_relabelled_census(census, rng):
+    """The searches skip a vertex by looking at its least neighbour, so each
+    census graph with six or seven vertices, and its complement, is checked
+    under three relabellings."""
+    for n in (6, 7):
+        for g in census[n]:
+            for h in (g, g.complement()):
+                fork = U.has_induced(h, "fork")
+                antifork = U.has_induced(h, "antifork")
+                for _ in range(3):
+                    s = _shuffled(rng, h)
+                    assert _has_fork(s.adj) == fork, U.to_graph6(s)
+                    assert _has_antifork(s.adj) == antifork, U.to_graph6(s)
+
+
+def _claw_centres(g):
+    return {v for v in range(g.n)
+            if any(not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+                   for a, b, c in combinations(_mask_to_tuple(g.adj[v]), 3))}
+
+
+def _diamond_spines(g):
+    return {(u, v) for u, v in g.edges()
+            if any(not g.has_edge(a, b)
+                   for a, b in combinations(_mask_to_tuple(g.adj[u] & g.adj[v]), 2))}
+
+
+def test_kernel_skips_keep_a_pattern_one_vertex_past_them(rng):
+    """A fork whose centre b, the only claw centre, has a neighbourhood of
+    two cliques plus one vertex; and an antifork whose spine x~y, the only
+    diamond spine, has N(x) a disjoint union of cliques but for one induced
+    path c-y-d.  Each is found under every sampled relabelling, whichever
+    neighbour is least."""
+    b, c, c2, l1, l12, l2, d = range(7)
+    fork = Graph(7, [(b, c), (b, c2), (b, l1), (b, l12), (b, l2),
+                     (c, c2), (l1, l12), (c, d)])
+    assert _claw_centres(fork) == {b}
+    x, y, c, d, pendant, p, q, r = range(8)
+    antifork = Graph(8, [(x, y), (x, c), (x, d), (y, c), (y, d), (d, pendant),
+                         (x, p), (x, q), (p, q), (x, r)])
+    assert _diamond_spines(antifork) == {(x, y)}
+    for _ in range(200):
+        assert _has_fork(_shuffled(rng, fork).adj)
+        assert _has_antifork(_shuffled(rng, antifork).adj)
 
 
 def _shuffled(rng, g):
