@@ -19,7 +19,7 @@ import time
 from functools import partial
 
 from .census import MAX_CENSUS_N, enumerate_graphs
-from .chromatic import chromatic_number_exact, color_uncluttered, is_proper_coloring
+from .chromatic import chromatic_number_exact, clique_number, color_uncluttered, is_proper_coloring
 from .decompose import ALL_CASES, classify, verify_certificate
 from .errors import InputError, TheoremViolationError
 from .graph import Graph, _is_clique_mask, _mask_to_tuple
@@ -128,9 +128,11 @@ def audit_one(g: Graph, suites: tuple[str, ...]) -> dict:
     if "chi-bound" in suites and n <= SUITE_CAPS["chi-bound"] and uncl:
         record["checked"].append("chi-bound")
         coloring = color_uncluttered(g)
-        omega = coloring.omega_used
+        # omega from the exact oracle, so the colorer's own figure is checked
+        omega = clique_number(g)
         chi = chromatic_number_exact(g)
-        ok = (is_proper_coloring(g, coloring.colors)
+        ok = (coloring.omega_used == omega
+              and is_proper_coloring(g, coloring.colors)
               and coloring.num_colors <= 2 * omega
               and chi <= 2 * omega)
         if not ok:

@@ -9,14 +9,21 @@ the root (at most max degree + 1 colors); the complement of one is colored
 through a greedy maximal matching, whose matched endpoints cover every root
 edge and hand each one the color of its smallest covering endpoint.
 
+The same recursion returns the clique number of each part, because every
+step keeps it exact: the maximum over components, the sum over
+anticomponents, a simplicial vertex's closed neighbourhood against the rest,
+nothing for a removed twin, the root's maximum degree on a line-graph leaf
+and the root's maximum matching (Edmonds' blossom search) on a co-line leaf,
+where a clique is a set of pairwise disjoint root edges.
+
 The recursion runs on vertex masks of the input and writes every color into
 one list in the input's own labels; it takes components and anticomponents
 from one sweep of the rows (read complemented for anticomponents, so no
 complement is built) and only the two leaves build a ``Graph`` of their
-part.
+part, none when the leaf is the whole input.
 
-The exact clique and chromatic oracles exist to audit that construction, not
-to replace it; both search bitmasks and are meant for n well under twenty.
+The exact clique and chromatic oracles audit that construction and feed
+nothing into it; both search bitmasks and are meant for n well under twenty.
 The clique search is branch and bound; the chromatic search backtracks over
 one vertex mask per color class, for palette sizes up from the clique number.
 """
@@ -26,11 +33,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError, NotUnclutteredError, TheoremViolationError
-from .graph import Graph, _component_masks, _mask_to_tuple
+from .graph import MAX_VERTICES, Graph, _component_masks, _mask_to_tuple
 from .graphio import to_graph6
 from .modular import _nonadjacent_twins_in, _simplicial_in
 from .patterns import is_uncluttered
-from .structure import is_triangle_free, line_graph, recognize_line_graph_triangle_free
+from .structure import is_triangle_free, recognize_line_graph_triangle_free
 
 
 class Coloring(NamedTuple):
@@ -249,18 +256,117 @@ def vizing_edge_color(h: Graph) -> EdgeColoring:
 # -- matching cover coloring -------------------------------------------------
 
 
+def _greedy_matching(rows: tuple[int, ...]) -> tuple[list[int], int]:
+    """The greedy maximal matching that pairs each free vertex, in
+    ascending order, with its least free neighbour: the pairs that taking
+    the edges in lexicographic order gives.  Returns each vertex's mate (-1
+    when free) and the mask of matched vertices."""
+    mate = [-1] * len(rows)
+    matched = 0
+    for v, row in enumerate(rows):
+        free = row & ~matched
+        if free and not matched >> v & 1:
+            u = (free & -free).bit_length() - 1
+            mate[u], mate[v] = v, u
+            matched |= 1 << u | 1 << v
+    return mate, matched
+
+
 def _cover_colors(root: Graph, edge_map) -> list[int]:
     """Raw cover colors for host vertices mapped onto root edges.
 
     A greedy maximal matching's endpoints cover every root edge; each mapped
     edge takes the index of its smallest covered endpoint.
     """
-    matched = 0
-    for a, b in root.edges():
-        if not (matched >> a & 1 or matched >> b & 1):
-            matched |= 1 << a | 1 << b
+    matched = _greedy_matching(root.adj)[1]
     index = {v: i for i, v in enumerate(_mask_to_tuple(matched))}
     return [index[a] if matched >> a & 1 else index[b] for a, b in edge_map]
+
+
+def _max_matching(rows: tuple[int, ...]) -> int:
+    """Size of a maximum matching of the graph with these rows.
+
+    Edmonds' blossom search (Paths, trees, and flowers, 1965), started from
+    a greedy maximal matching.  Each free vertex roots one alternating-tree
+    search, which shrinks every odd cycle it closes into the cycle's base
+    and flips the first augmenting path it meets.  A vertex that roots no
+    augmenting path roots none after later augmentations either, so one
+    search per free vertex suffices.
+    """
+    n = len(rows)
+    mate, matched = _greedy_matching(rows)
+    size = matched.bit_count() // 2
+    for r in range(n):
+        if size == n // 2:
+            break
+        if mate[r] < 0 and rows[r] and _augment(rows, mate, r):
+            size += 1
+    return size
+
+
+def _augment(rows: tuple[int, ...], mate: list[int], root: int) -> bool:
+    """Grow an alternating tree from the free vertex ``root``; flip the
+    first augmenting path found into ``mate`` and report whether there was
+    one.  ``parent`` links each inner vertex to the outer vertex that
+    reached it, and ``base`` maps each vertex to the base of the blossom
+    that holds it."""
+    n = len(rows)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = 1 << root
+    queue = [root]
+
+    def mark(v: int, b: int, child: int) -> int:
+        """Re-link the path v..b of a closing blossom and return its bases."""
+        shrunk = 0
+        while base[v] != b:
+            shrunk |= 1 << base[v] | 1 << base[mate[v]]
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return shrunk
+
+    for v in queue:
+        m = rows[v]
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or mate[w] >= 0 and parent[mate[w]] >= 0:
+                # w is outer too: the edge closes an odd cycle.  Its base is
+                # the first common base on the two tree paths to the root.
+                seen = 0
+                a = v
+                while True:
+                    a = base[a]
+                    seen |= 1 << a
+                    if mate[a] < 0:
+                        break
+                    a = parent[mate[a]]
+                b = base[w]
+                while not seen >> b & 1:
+                    b = base[parent[mate[b]]]
+                shrunk = mark(v, b, w) | mark(w, b, v)
+                for x in range(n):
+                    if shrunk >> base[x] & 1:
+                        base[x] = b
+                        if not outer >> x & 1:
+                            outer |= 1 << x
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    while w >= 0:
+                        v = parent[w]
+                        nxt = mate[v]
+                        mate[v], mate[w] = w, v
+                        w = nxt
+                    return True
+                outer |= 1 << mate[w]
+                queue.append(mate[w])
+    return False
 
 
 def _compress(raw: list[int]) -> list[int]:
@@ -274,7 +380,7 @@ def cover_color_complement_line(h: Graph) -> Coloring:
     Vertices of the target are the edges of h in lexicographic order.  Colors
     sharing an h-endpoint are stable in the target, and the palette size is
     at most twice the matching size, hence at most twice the target's clique
-    number.
+    number, which is the maximum matching size of h.
     """
     if h.edge_count() == 0:
         raise InputError("cover coloring needs a root with at least one edge")
@@ -282,65 +388,74 @@ def cover_color_complement_line(h: Graph) -> Coloring:
     if tri is not None:
         raise InputError(f"cover coloring needs a triangle-free root; found {tri}")
     edges = h.edges()
-    raw = _cover_colors(h, edges)
-    cols = _compress(raw)
-    target = line_graph(h).complement()
-    return Coloring(tuple(cols), max(cols) + 1, clique_number(target))
+    if len(edges) > MAX_VERTICES:
+        raise InputError(f"line graph would have {len(edges)} vertices, above {MAX_VERTICES}")
+    cols = _compress(_cover_colors(h, edges))
+    return Coloring(tuple(cols), max(cols) + 1, _max_matching(h.adj))
 
 
 # -- the constructive theorem colorer ----------------------------------------
 
 
-def _color_on(g: Graph, within: int, cols: list[int], base: int) -> int:
+def _color_on(g: Graph, within: int, cols: list[int], base: int) -> tuple[int, int]:
     """Color g induced on ``within`` into ``cols`` with the palette
-    base..base+k-1 and return k."""
+    base..base+k-1 and return k and the clique number of that part."""
     if not within:
-        return 0
+        return 0, 0
     comps = _component_masks(g.adj, within)
     if len(comps) > 1:
-        return max(_color_on(g, part, cols, base) for part in comps)
+        k = omega = 0
+        for part in comps:
+            kp, wp = _color_on(g, part, cols, base)
+            k, omega = max(k, kp), max(omega, wp)
+        return k, omega
     anti = _component_masks(g.adj, within, g.full_mask)
     if len(anti) > 1:
-        k = 0
+        k = omega = 0
         for part in anti:
-            k += _color_on(g, part, cols, base + k)
-        return k
+            kp, wp = _color_on(g, part, cols, base + k)
+            k, omega = k + kp, omega + wp
+        return k, omega
     v = _simplicial_in(g.adj, within)
     if v is not None:
-        k = _color_on(g, within & ~(1 << v), cols, base)
-        taken = {cols[w] for w in _mask_to_tuple(g.adj[v] & within)}
+        k, omega = _color_on(g, within & ~(1 << v), cols, base)
+        near = g.adj[v] & within
+        taken = {cols[w] for w in _mask_to_tuple(near)}
         c = base
         while c in taken:
             c += 1
         cols[v] = c
-        return max(k, c - base + 1)
+        return max(k, c - base + 1), max(omega, near.bit_count() + 1)
     pair = _nonadjacent_twins_in(g.adj, within)
     if pair is not None:
         u, v = pair
-        k = _color_on(g, within & ~(1 << u), cols, base)
+        k, omega = _color_on(g, within & ~(1 << u), cols, base)
         cols[u] = cols[v]
-        return k
+        return k, omega
     h = g.induced(_mask_to_tuple(within))
     rg = recognize_line_graph_triangle_free(h)
     if rg is not None:
         ec = vizing_edge_color(rg.root)
         raw = _compress([ec.assignment[e] for e in rg.edge_map])
+        omega = max(row.bit_count() for row in rg.root.adj)
     else:
         rg = recognize_line_graph_triangle_free(h.complement())
         if rg is None:
             raise TheoremViolationError(
                 f"uncluttered graph {to_graph6(h)!r} fell through the coloring recursion")
         raw = _compress(_cover_colors(rg.root, rg.edge_map))
+        omega = _max_matching(rg.root.adj)
     for w, c in zip(_mask_to_tuple(within), raw):
         cols[w] = base + c
-    return max(raw) + 1
+    return max(raw) + 1, omega
 
 
 def color_uncluttered(g: Graph) -> Coloring:
-    """Proper coloring of an uncluttered graph with at most 2*omega colors."""
+    """Proper coloring of an uncluttered graph with at most 2*omega colors,
+    omega read from the coloring recursion."""
     witness = is_uncluttered(g)
     if witness is not None:
         raise NotUnclutteredError(witness)
     cols = [0] * g.n
-    num = _color_on(g, g.full_mask, cols, 0)
-    return Coloring(tuple(cols), num, clique_number(g))
+    num, omega = _color_on(g, g.full_mask, cols, 0)
+    return Coloring(tuple(cols), num, omega)

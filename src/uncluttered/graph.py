@@ -105,21 +105,32 @@ class Graph:
                                 for u in range(self.n)])
 
     def induced(self, vs: Iterable[int]) -> "Graph":
-        """Subgraph induced on ``vs``, relabeled to 0..k-1 in ascending order."""
+        """Subgraph induced on ``vs``, relabeled to 0..k-1 in ascending order;
+        the graph itself when ``vs`` holds every vertex.
+
+        Each maximal run of consecutive kept labels moves down to its new
+        place in every kept row with one mask and one shift.
+        """
         keep = sorted(set(vs))
-        for v in keep:
+        runs: list[list[int]] = []  # [first label, last label, new first label]
+        for i, v in enumerate(keep):
             if not 0 <= v < self.n:
                 raise InputError(f"vertex {v} out of range for n={self.n}")
-        index = {v: i for i, v in enumerate(keep)}
+            if runs and runs[-1][1] == v - 1:
+                runs[-1][1] = v
+            else:
+                runs.append([v, v, i])
+        if len(keep) == self.n:
+            return self
+        moves = [((2 << b) - (1 << a), a - i) for a, b, i in runs]
         rows = []
         for v in keep:
-            row = 0
-            m = self.adj[v]
-            for w in keep:
-                if m >> w & 1:
-                    row |= 1 << index[w]
-            rows.append(row)
-        return Graph.from_rows(tuple(rows))
+            row = self.adj[v]
+            new = 0
+            for mask, shift in moves:
+                new |= (row & mask) >> shift
+            rows.append(new)
+        return Graph.from_rows(rows)
 
     # -- connectivity -----------------------------------------------------
 

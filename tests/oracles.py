@@ -270,6 +270,16 @@ def exhaustive_candled(g):
     return None
 
 
+def naive_matching_number(g):
+    """Most pairwise disjoint edges of g, by trying edge sets largest first."""
+    edges = g.edges()
+    for r in range(g.n // 2, 0, -1):
+        for sub in combinations(edges, r):
+            if len({v for e in sub for v in e}) == 2 * r:
+                return r
+    return 0
+
+
 def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)

@@ -6,7 +6,15 @@ import pytest
 import uncluttered as U
 from uncluttered import Graph, InputError, NotUnclutteredError
 
-from oracles import random_graph
+from uncluttered.chromatic import _max_matching
+
+from oracles import (
+    compose_candled,
+    naive_matching_number,
+    random_candelabrum,
+    random_connected_triangle_free,
+    random_graph,
+)
 
 PETERSEN = "IheA@GUAo"
 
@@ -149,7 +157,6 @@ def test_cover_coloring_frozen_values():
 
 
 def test_cover_coloring_random_roots(rng):
-    from oracles import random_connected_triangle_free
     for _ in range(40):
         root = random_connected_triangle_free(rng, rng.randint(2, 9))
         c = U.cover_color_complement_line(root)
@@ -164,6 +171,55 @@ def test_cover_coloring_input_checks():
         U.cover_color_complement_line(U.edgeless_graph(2))
     with pytest.raises(InputError):
         U.cover_color_complement_line(U.complete_graph(3))
+    k89 = Graph(17, [(a, b) for a in range(8) for b in range(8, 17)])
+    assert k89.edge_count() == 72
+    with pytest.raises(InputError):
+        U.cover_color_complement_line(k89)
+    k88 = Graph(16, [(a, b) for a in range(8) for b in range(8, 16)])
+    assert U.cover_color_complement_line(k88).omega_used == 8
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def test_max_matching_agrees_with_exhaustive_search(rng):
+    """Odd cycles, the Petersen graph and two pentagons joined by a path,
+    each under seeded relabellings so that the greedy start leaves
+    augmenting paths through blossoms, then small triangle-free roots."""
+    pentagons = Graph(12, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                      + [(0, 10), (10, 11), (11, 5)])
+    cases = [(U.cycle_graph(5), 2), (U.cycle_graph(7), 3),
+             (U.from_graph6(PETERSEN), 5), (pentagons, 6)]
+    for g, nu in cases:
+        assert naive_matching_number(g) == nu
+        for _ in range(30):
+            h = _shuffled(rng, g)
+            assert _max_matching(h.adj) == nu, U.to_graph6(h)
+    roots = 0
+    while roots < 150:
+        root = random_connected_triangle_free(rng, rng.randint(2, 10))
+        if root.edge_count() > 12:
+            continue
+        roots += 1
+        assert _max_matching(root.adj) == naive_matching_number(root), U.to_graph6(root)
+    assert _max_matching(()) == 0
+    assert _max_matching(Graph(3).adj) == 0
+
+
+def test_max_matching_is_the_clique_number_of_the_co_line_graph(rng):
+    """A clique of the complement of L(H) is a set of disjoint edges of H."""
+    roots = 0
+    while roots < 40:
+        root = random_connected_triangle_free(rng, rng.randint(4, 24))
+        if root.edge_count() > 40:
+            continue
+        roots += 1
+        target = U.line_graph(root).complement()
+        assert _max_matching(root.adj) == U.clique_number(target), U.to_graph6(root)
 
 
 def test_color_uncluttered_known_graphs():
@@ -194,9 +250,9 @@ def test_color_uncluttered_rejects_cluttered_input():
 
 
 def test_color_uncluttered_census_sweep(uncluttered_census):
-    """Every uncluttered graph up to n=6: proper, contiguous palette, at most
+    """Every uncluttered graph up to n=7: proper, contiguous palette, at most
     twice the true clique number, and the reported omega is the true one."""
-    for n in range(7):
+    for n in range(8):
         for g in uncluttered_census[n]:
             c = U.color_uncluttered(g)
             assert U.is_proper_coloring(g, c.colors), U.to_graph6(g)
@@ -219,3 +275,61 @@ def test_color_uncluttered_census_colors_are_frozen(uncluttered_census):
     assert len(lines) == 545
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CENSUS_COLORS_SHA256
+
+
+def _line_member(rng, m):
+    """Line graph of m edges of a random triangle-free graph."""
+    while True:
+        root = random_connected_triangle_free(rng, rng.randint(m // 2 + 2, m + 1))
+        if root.edge_count() >= m:
+            return U.line_graph(Graph(root.n, rng.sample(root.edges(), m)))
+
+
+def _member(rng, n_max):
+    """A member with at most n_max vertices: a line graph, a co-line graph,
+    a candled composition, or a union or join of two of these."""
+    kind = rng.choice(("line", "co-line", "candled", "union", "join")
+                      if n_max >= 12 else ("line", "co-line"))
+    if kind == "line":
+        return _line_member(rng, rng.randint(3, n_max))
+    if kind == "co-line":
+        return _line_member(rng, rng.randint(3, n_max)).complement()
+    if kind == "candled":
+        cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
+        rest = _line_member(rng, rng.randint(3, max(3, n_max - cand.n)))
+        g = compose_candled(rest, cand, [v for z in zs for v in z])
+        return g if g.n <= n_max else _member(rng, n_max)
+    split = rng.randint(6, n_max - 6)
+    left, right = _member(rng, split), _member(rng, n_max - split)
+    return (U.disjoint_union if kind == "union" else U.complete_join)(left, right)
+
+
+def _large_members(rng, count):
+    out = []
+    while len(out) < count:
+        g = _member(rng, 40)
+        if g.n >= 11:
+            out.append(_shuffled(rng, g))
+    return out
+
+
+def test_color_uncluttered_omega_on_large_members(rng):
+    """On seeded, relabelled members with 11-40 vertices, the omega read off
+    the coloring recursion equals the exact clique number."""
+    for g in _large_members(rng, 300):
+        c = U.color_uncluttered(g)
+        assert c.omega_used == U.clique_number(g), U.to_graph6(g)
+        assert U.is_proper_coloring(g, c.colors)
+        assert c.num_colors <= 2 * c.omega_used
+
+
+def test_color_uncluttered_runs_no_clique_search(uncluttered_census, rng, monkeypatch):
+    def refuse(g):
+        raise AssertionError("clique search called")
+
+    graphs = [g for n in range(8) for g in uncluttered_census[n]]
+    graphs += _large_members(rng, 30)
+    expected = [U.color_uncluttered(g) for g in graphs]
+    monkeypatch.setattr(U.chromatic, "clique_number", refuse)
+    monkeypatch.setattr(U.chromatic, "max_clique", refuse)
+    assert [U.color_uncluttered(g) for g in graphs] == expected

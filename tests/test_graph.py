@@ -163,6 +163,34 @@ def test_induced_relabels_in_sorted_order():
         g.induced([4])
 
 
+def _naive_induced(g, vs):
+    keep = sorted(set(vs))
+    return Graph(len(keep), [(i, j) for i, a in enumerate(keep)
+                             for j, b in enumerate(keep) if i < j and g.has_edge(a, b)])
+
+
+def test_induced_agrees_with_a_pairwise_copy(rng):
+    """Run-by-run copying against a pair-by-pair oracle on random graphs up
+    to 64 vertices, for unsorted and repeated lists, the empty and the full
+    set; the full set gives back the graph itself."""
+    for _ in range(200):
+        n = rng.randint(0, MAX_VERTICES)
+        g = random_graph(rng, n, rng.random())
+        k = rng.randint(0, n)
+        vs = rng.sample(range(n), k) + [rng.randrange(n) for _ in range(rng.randint(0, 3)) if n]
+        rng.shuffle(vs)
+        assert g.induced(vs) == _naive_induced(g, vs)
+        assert g.induced([]) == Graph(0)
+        everything = list(range(n)) * 2
+        rng.shuffle(everything)
+        assert g.induced(everything) is g
+        if n:
+            with pytest.raises(InputError):
+                g.induced(vs + [n])
+            with pytest.raises(InputError):
+                g.induced(list(range(n)) + [-1])
+
+
 def test_clique_and_stable_predicates():
     g = U.pattern("diamond")
     assert U.is_clique(g, [0, 1, 2])
