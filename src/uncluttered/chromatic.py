@@ -4,10 +4,12 @@ The constructive path colors any uncluttered graph with at most twice its
 clique number of colors by structural recursion: palettes merge across
 components, stack across anticomponents, extend over a simplicial vertex,
 copy across nonadjacent twins, and bottom out in one of two base cases.  A
-line graph of a triangle-free root inherits a fan-rotation edge coloring of
-the root (at most max degree + 1 colors); the complement of one is colored
-through a greedy maximal matching, whose matched endpoints cover every root
-edge and hand each one the color of its smallest covering endpoint.
+line graph of a triangle-free root inherits the root's edge coloring by
+Misra and Gries's fan construction (at most max degree + 1 colors, kept in
+one index of colors by vertex, each fan walked once to the least landing
+index); the complement of one is colored through a greedy maximal
+matching, whose matched endpoints cover every root edge and hand each one
+the color of its smallest covering endpoint.
 
 The same recursion returns the clique number of each part, because every
 step keeps it exact: the maximum over components, the sum over
@@ -69,17 +71,11 @@ def is_proper_coloring(g: Graph, colors) -> bool:
 
 
 def is_proper_edge_coloring(h: Graph, assignment: dict) -> bool:
-    edges = h.edges()
-    if sorted(assignment.keys()) != edges:
+    """Every edge of h colored, and no two edges at a vertex share a color:
+    the (endpoint, color) pairs are then all distinct."""
+    if sorted(assignment) != h.edges():
         return False
-    for v in range(h.n):
-        seen = set()
-        for u in h.neighbors(v):
-            c = assignment[(min(u, v), max(u, v))]
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+    return len({(x, c) for e, c in assignment.items() for x in e}) == 2 * len(assignment)
 
 
 # -- exact oracles ----------------------------------------------------------
@@ -158,99 +154,63 @@ def chromatic_number_exact(g: Graph) -> int:
 def vizing_edge_color(h: Graph) -> EdgeColoring:
     """Proper edge coloring with at most max-degree + 1 colors.
 
-    Classic fan construction: insert edges one at a time; grow a maximal fan
-    at one endpoint, flip a two-colored alternating path if the needed color
-    is busy, then rotate a fan prefix and finish it with that color.
+    Misra and Gries's fan construction (A constructive proof of Vizing's
+    theorem, 1992), over the edges in lexicographic order.  For (u, v) it
+    grows a maximal fan v = f0, f1, ... at u, each (u, f_i) by the least
+    color free at f_{i-1} and new to the fan; with c least free at u and d
+    at the fan's end, flips the d/c path from u if d is busy at u; then
+    walks the fan once to the least j where d is free, shifts the colors of
+    (u, f_1..f_j) one step back and gives (u, f_j) d.  The one index is
+    ``at[x]`` (color -> neighbour), with ``used[x]`` its busy-color mask.
     """
-    edges = h.edges()
-    if not edges:
-        return EdgeColoring({}, 0)
-    delta = max(h.degree(v) for v in range(h.n))
-    palette = delta + 1
-    full = (1 << palette) - 1
-    at: list[dict[int, int]] = [dict() for _ in range(h.n)]
+    at: list[dict[int, int]] = [{} for _ in range(h.n)]
     used = [0] * h.n
-    color_of: dict[tuple[int, int], int] = {}
 
-    def set_color(a: int, b: int, c: int) -> None:
-        color_of[(a, b) if a < b else (b, a)] = c
-        at[a][c] = b
-        at[b][c] = a
+    def paint(a: int, b: int, c: int) -> None:
+        at[a][c], at[b][c] = b, a
         used[a] |= 1 << c
         used[b] |= 1 << c
 
-    def unset_color(a: int, b: int) -> int:
-        c = color_of.pop((a, b) if a < b else (b, a))
-        del at[a][c]
-        del at[b][c]
+    def wipe(a: int, b: int, c: int) -> None:
+        del at[a][c], at[b][c]
         used[a] &= ~(1 << c)
         used[b] &= ~(1 << c)
-        return c
 
-    def least_free(v: int) -> int:
-        m = full & ~used[v]
-        return (m & -m).bit_length() - 1
+    def least_free(x: int) -> int:
+        return (~used[x] & used[x] + 1).bit_length() - 1
 
-    for u, v in edges:
-        fan = [v]
-        in_fan = {v}
-        while True:
-            free_last = full & ~used[fan[-1]]
-            m = free_last & used[u]
-            nxt = None
-            while m:
-                c0 = (m & -m).bit_length() - 1
-                w = at[u][c0]
-                if w not in in_fan:
-                    nxt = w
-                    break
-                m &= m - 1
-            if nxt is None:
-                break
-            fan.append(nxt)
-            in_fan.add(nxt)
-        c = least_free(u)
-        d = least_free(fan[-1])
-        if d != c and not ((full & ~used[u]) >> d & 1):
-            # Flip the alternating path of colors d, c starting at u.  u has
-            # no c edge, so the walk is a path and never returns to u.
-            path = []
-            cur, want = u, d
-            while want in at[cur]:
-                nxt_v = at[cur][want]
-                path.append((cur, nxt_v))
-                cur = nxt_v
-                want = c if want == d else d
-            old = [unset_color(a, b) for a, b in path]
-            for (a, b), cc in zip(path, old):
-                set_color(a, b, d if cc == c else c)
-        # Least fan prefix that is still a fan and ends where d is free.
-        w_idx = None
-        for j in range(len(fan)):
-            if not ((full & ~used[fan[j]]) >> d & 1):
-                continue
-            valid = True
-            for i in range(1, j + 1):
-                key = (u, fan[i]) if u < fan[i] else (fan[i], u)
-                ci = color_of.get(key)
-                if ci is None or not ((full & ~used[fan[i - 1]]) >> ci & 1):
-                    valid = False
-                    break
-            if valid:
-                w_idx = j
-                break
-        if w_idx is None:
-            raise RuntimeError("edge coloring fan rotation found no landing spot")
-        shifted = []
-        for i in range(w_idx):
-            key = (u, fan[i + 1]) if u < fan[i + 1] else (fan[i + 1], u)
-            shifted.append(color_of[key])
-        for i in range(1, w_idx + 1):
-            unset_color(u, fan[i])
-        for i in range(w_idx):
-            set_color(u, fan[i], shifted[i])
-        set_color(u, fan[w_idx], d)
-    return EdgeColoring(color_of, len(set(color_of.values())))
+    for u, v in h.edges():
+        # cols[i] is the color of (u, fan[i]); left: u's colors not in the fan.
+        fan, cols, left = [v], [-1], used[u]
+        while m := left & ~used[fan[-1]]:
+            col = (m & -m).bit_length() - 1
+            left ^= 1 << col
+            fan.append(at[u][col])
+            cols.append(col)
+        c, d = least_free(u), least_free(fan[-1])
+        if used[u] >> d & 1:
+            # c is free at u: a path, and only its first edge is at u.
+            path, x, col = [], u, d
+            while col in at[x]:
+                path.append((x, at[x][col], col))
+                x, col = at[x][col], c if col == d else d
+            for a, b, col in path:
+                wipe(a, b, col)
+            for a, b, col in path:
+                paint(a, b, c if col == d else d)
+            cols = [c if col == d else col for col in cols]
+        # Stop where d is free, or where a step no longer is a fan step.
+        j = 0
+        while (used[fan[j]] >> d & 1 and j + 1 < len(fan)
+               and not used[fan[j]] >> cols[j + 1] & 1):
+            j += 1
+        for i in range(1, j + 1):
+            wipe(u, fan[i], cols[i])
+            paint(u, fan[i - 1], cols[i])
+        paint(u, fan[j], d)
+    color_at = [{b: c for c, b in row.items()} for row in at]
+    assignment = {(a, b): color_at[a][b] for a, b in h.edges()}
+    return EdgeColoring(assignment, len(set(assignment.values())))
 
 
 # -- matching cover coloring -------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 
 from .audit import SUITE_NAMES, audit
 from .chromatic import color_uncluttered
-from .decompose import certificate_json, classify, decomposition_tree, tree_json
+from .decompose import _witness_json, certificate_json, classify, decomposition_tree, tree_json
 from .errors import InputError, NotUnclutteredError
 from .graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 
@@ -54,10 +54,6 @@ def _iter_graphs(args):
                 yield line, from_graph6(line), None
             except InputError as exc:
                 yield line, None, str(exc)
-
-
-def _witness_json(witness) -> dict:
-    return {"pattern": witness.pattern_name, "embedding": list(witness.embedding)}
 
 
 def _emit(obj: dict) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DepthLimitError, InputError, NotUnclutteredError, TheoremViolationError
-from .graph import Graph
+from .graph import Graph, _component_masks, _mask_to_tuple
 from .graphio import to_graph6
 from .modular import are_twins, find_adjacent_simplicial_twins, is_simplicial
 from .patterns import PatternWitness, is_uncluttered, pattern
@@ -25,11 +25,10 @@ from .structure import (
     CandelabrumStructure,
     CandledDecomposition,
     RootGraph,
+    _is_triangle_free_root,
     detect_candled,
-    is_triangle_free,
     recognize_line_graph_triangle_free,
     verify_candled,
-    verify_root,
 )
 
 _CASES = ("DISCONNECTED", "SIMPLICIAL_TWINS", "LINEGRAPH_TF", "CANDLED")
@@ -82,7 +81,9 @@ def _member_case(g: Graph) -> Certificate:
 def _find(case: str, h: Graph) -> object:
     """Evidence that h is in the base case, or None."""
     if case == "DISCONNECTED":
-        return None if h.is_connected() else tuple(h.components())
+        comps = _component_masks(h.adj, h.full_mask)
+        # From a list, not a bare iterator, which tuple() over-allocates.
+        return tuple([_mask_to_tuple(m) for m in comps]) if len(comps) > 1 else None
     if case == "SIMPLICIAL_TWINS":
         pair = find_adjacent_simplicial_twins(h)
         return None if pair is None else (pair.u, pair.v)
@@ -127,9 +128,7 @@ def _verify(g: Graph, cert: Certificate) -> bool:
                 and are_twins(g, u, v)
                 and is_simplicial(g, u) and is_simplicial(g, v))
     if case == "LINEGRAPH_TF":
-        if not isinstance(payload, RootGraph):
-            return False
-        return verify_root(g, payload) and is_triangle_free(payload.root) is None
+        return isinstance(payload, RootGraph) and _is_triangle_free_root(g, payload)
     if case == "CANDLED":
         if not isinstance(payload, CandledDecomposition):
             return False
@@ -204,13 +203,16 @@ def _candelabrum_leaf(g: Graph, case: str, dec: CandledDecomposition) -> Decompo
 # -- JSON forms -------------------------------------------------------------
 
 
+def _witness_json(witness: PatternWitness) -> dict:
+    return {"pattern": witness.pattern_name, "embedding": list(witness.embedding)}
+
+
 def certificate_payload_json(cert: Certificate) -> dict:
     """Case-specific payload as JSON-ready nested lists, fixed key order."""
     case = cert.case
     payload = cert.payload
     if case == "NOT_UNCLUTTERED":
-        return {"pattern": payload.pattern_name,
-                "embedding": list(payload.embedding)}
+        return _witness_json(payload)
     if case == "SMALL":
         return {}
     kind = case.removeprefix("ANTI_")

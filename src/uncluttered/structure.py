@@ -117,6 +117,11 @@ def verify_root(g: Graph, rg: RootGraph) -> bool:
     return root.edge_count() == g.n and tuple(_line_rows(edge_map, root.n)) == g.adj
 
 
+def _is_triangle_free_root(g: Graph, rg: RootGraph) -> bool:
+    """rg proves that g is the line graph of a triangle-free graph."""
+    return is_triangle_free(rg.root) is None and verify_root(g, rg)
+
+
 def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
     """Root reconstruction for line graphs of triangle-free graphs.
 
@@ -160,9 +165,7 @@ def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     rg = RootGraph(Graph.from_rows(tuple(rows)), tuple(edge_map))
-    if is_triangle_free(rg.root) is not None or not verify_root(g, rg):
-        return None
-    return rg
+    return rg if _is_triangle_free_root(g, rg) else None
 
 
 def is_line_graph_of_bipartite(g: Graph) -> bool:

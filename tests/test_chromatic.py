@@ -110,6 +110,9 @@ def test_proper_coloring_predicates():
     assert not U.is_proper_edge_coloring(p3, {(0, 1): 0, (1, 2): 0})
     assert not U.is_proper_edge_coloring(p3, {(0, 1): 0})
     assert not U.is_proper_edge_coloring(p3, {(0, 1): 0, (1, 2): 1, (0, 2): 2})
+    p4 = U.path_graph(4)
+    assert U.is_proper_edge_coloring(p4, {(0, 1): 0, (1, 2): 1, (2, 3): 0})
+    assert not U.is_proper_edge_coloring(p4, {(0, 1): 1, (1, 2): 0, (2, 3): 0})
 
 
 def test_edge_coloring_frozen_palettes():
@@ -138,6 +141,26 @@ def test_edge_coloring_random_graphs(rng):
         assert ec.num_colors <= delta + 1
         used = set(ec.assignment.values())
         assert used == set(range(len(used)))
+
+
+# SHA-256 of one "sorted assignment, palette size" line per graph below,
+# taken when the fan construction still kept a second, edge-keyed index.
+VIZING_SHA256 = "40c8340149b5bd9c54b4d209d5e9938ecc7e4f89128ce6f1399a48db108e5edd"
+
+
+def test_vizing_assignments_are_frozen(census, rng):
+    """Every edge keeps its color on seeded random graphs with n <= 14,
+    seeded triangle-free roots with up to 40 vertices, and the census n <= 6."""
+    graphs = [random_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(200)]
+    graphs += [random_connected_triangle_free(rng, rng.randint(2, 40)) for _ in range(100)]
+    graphs += [g for n in range(7) for g in census[n]]
+    lines = []
+    for g in graphs:
+        ec = U.vizing_edge_color(g)
+        assert U.is_proper_edge_coloring(g, ec.assignment)
+        lines.append(f"{sorted(ec.assignment.items())} {ec.num_colors}")
+    assert len(lines) == 509
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VIZING_SHA256
 
 
 def test_cover_coloring_frozen_values():
