@@ -14,7 +14,6 @@ from .chromatic import (
     chromatic_number_exact,
     clique_number,
     color_uncluttered,
-    cover_color_complement_line,
     is_proper_coloring,
     is_proper_edge_coloring,
     max_clique,
@@ -30,7 +29,6 @@ from .decompose import (
     verify_certificate,
 )
 from .errors import (
-    DepthLimitError,
     InputError,
     NotUnclutteredError,
     TheoremViolationError,
@@ -43,18 +41,12 @@ from .graph import (
     cycle_graph,
     disjoint_union,
     edgeless_graph,
-    is_anticomplete_between,
     is_bipartite,
-    is_clique,
-    is_complete_between,
-    is_dominating,
-    is_stable,
     path_graph,
 )
 from .graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from .modular import (
     HomogeneousSet,
-    TwinPair,
     are_twins,
     find_adjacent_simplicial_twins,
     find_nonadjacent_twins,

@@ -35,11 +35,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError, NotUnclutteredError, TheoremViolationError
-from .graph import MAX_VERTICES, Graph, _component_masks, _mask_to_tuple
+from .graph import Graph, _component_masks, _mask_to_tuple
 from .graphio import to_graph6
 from .modular import _nonadjacent_twins_in, _simplicial_in
 from .patterns import is_uncluttered
-from .structure import is_triangle_free, recognize_line_graph_triangle_free
+from .structure import recognize_line_graph_triangle_free
 
 
 class Coloring(NamedTuple):
@@ -332,26 +332,6 @@ def _augment(rows: tuple[int, ...], mate: list[int], root: int) -> bool:
 def _compress(raw: list[int]) -> list[int]:
     remap = {c: i for i, c in enumerate(sorted(set(raw)))}
     return [remap[c] for c in raw]
-
-
-def cover_color_complement_line(h: Graph) -> Coloring:
-    """Color complement(line_graph(h)) through a maximal matching of h.
-
-    Vertices of the target are the edges of h in lexicographic order.  Colors
-    sharing an h-endpoint are stable in the target, and the palette size is
-    at most twice the matching size, hence at most twice the target's clique
-    number, which is the maximum matching size of h.
-    """
-    if h.edge_count() == 0:
-        raise InputError("cover coloring needs a root with at least one edge")
-    tri = is_triangle_free(h)
-    if tri is not None:
-        raise InputError(f"cover coloring needs a triangle-free root; found {tri}")
-    edges = h.edges()
-    if len(edges) > MAX_VERTICES:
-        raise InputError(f"line graph would have {len(edges)} vertices, above {MAX_VERTICES}")
-    cols = _compress(_cover_colors(h, edges))
-    return Coloring(tuple(cols), max(cols) + 1, _max_matching(h.adj))
 
 
 # -- the constructive theorem colorer ----------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DepthLimitError, InputError, NotUnclutteredError, TheoremViolationError
+from .errors import InputError, NotUnclutteredError, TheoremViolationError
 from .graph import Graph, _component_masks, _mask_to_tuple
 from .graphio import to_graph6
 from .modular import are_twins, find_adjacent_simplicial_twins, is_simplicial
@@ -85,8 +85,7 @@ def _find(case: str, h: Graph) -> object:
         # From a list, not a bare iterator, which tuple() over-allocates.
         return tuple([_mask_to_tuple(m) for m in comps]) if len(comps) > 1 else None
     if case == "SIMPLICIAL_TWINS":
-        pair = find_adjacent_simplicial_twins(h)
-        return None if pair is None else (pair.u, pair.v)
+        return find_adjacent_simplicial_twins(h)
     if case == "LINEGRAPH_TF":
         return recognize_line_graph_triangle_free(h)
     return detect_candled(h)
@@ -145,44 +144,40 @@ class DecompositionTree(NamedTuple):
     children: tuple["DecompositionTree", ...]
 
 
-def decomposition_tree(g: Graph, depth_limit: int | None = None) -> DecompositionTree:
+def decomposition_tree(g: Graph) -> DecompositionTree:
     """Recursively classify g down to leaves.
 
     Components, anticomponents, twin-removals, and candled rests each recurse
     on a strictly smaller induced subgraph; SMALL, the two line-graph cases,
-    and pure candelabra (candled with empty rest) are leaves.  A candled node
-    with a nonempty rest carries the candelabrum part as an explicit leaf
-    child ahead of the rest's subtree.  Membership is recognized once, at the
+    and pure candelabra (candled with empty rest) are leaves.  So the tree is
+    at most n levels deep (one level for n <= 1).  A candled node with a
+    nonempty rest carries the candelabrum part as an explicit leaf child
+    ahead of the rest's subtree.  Membership is recognized once, at the
     root: every node below is an induced subgraph of g, and the class is
     hereditary.
     """
-    if depth_limit is None:
-        depth_limit = 2 * g.n + 2
-    if depth_limit > 0:  # an exhausted budget raises before recognition
-        witness = is_uncluttered(g)
-        if witness is not None:
-            raise NotUnclutteredError(witness)
-    return _member_tree(g, depth_limit)
+    witness = is_uncluttered(g)
+    if witness is not None:
+        raise NotUnclutteredError(witness)
+    return _member_tree(g)
 
 
-def _member_tree(g: Graph, depth_limit: int) -> DecompositionTree:
-    if depth_limit <= 0:
-        raise DepthLimitError("decomposition recursion exceeded its depth budget")
+def _member_tree(g: Graph) -> DecompositionTree:
     cert = _member_case(g)
     case = cert.case.removeprefix("ANTI_")
     children: list[DecompositionTree] = []
     if case == "DISCONNECTED":
         for part in cert.payload:
-            children.append(_member_tree(g.induced(part), depth_limit - 1))
+            children.append(_member_tree(g.induced(part)))
     elif case == "SIMPLICIAL_TWINS":
         u = cert.payload[0]
         rest = [w for w in range(g.n) if w != u]
-        children.append(_member_tree(g.induced(rest), depth_limit - 1))
+        children.append(_member_tree(g.induced(rest)))
     elif case == "CANDLED":
         dec = cert.payload
         if dec.rest:
             children.append(_candelabrum_leaf(g, cert.case, dec))
-            children.append(_member_tree(g.induced(dec.rest), depth_limit - 1))
+            children.append(_member_tree(g.induced(dec.rest)))
     return DecompositionTree(g, cert, tuple(children))
 
 

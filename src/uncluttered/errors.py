@@ -26,4 +26,8 @@ class TheoremViolationError(RuntimeError):
 
 
 class DepthLimitError(RuntimeError):
-    """Decomposition recursion exceeded its depth budget."""
+    """Decomposition recursion exceeded a depth budget.
+
+    The package no longer raises it: every tree is at most n levels deep.
+    The class stays importable for code that still catches it by name.
+    """

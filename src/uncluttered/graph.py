@@ -8,8 +8,8 @@ are ordered by smallest member, so downstream output is reproducible.
 
 The private mask kernels (clique, stable, complete, anticomplete, component
 sweep, and the complete/anticomplete/mixed split of outside vertices) take
-rows and vertex masks.  They are the one implementation of each check: the
-public predicates validate input and call them, and the other layers call
+rows and vertex masks, which they trust to hold vertices of the graph.
+They are the one implementation of each check, and the other layers call
 them on parts of a graph in its own labels.  Isomorphism has one engine:
 the canonical form ``invariant_key``, an individualization-refinement search
 over ``_refine`` pruned by the automorphisms it finds; ``are_isomorphic``
@@ -261,57 +261,7 @@ def _sides(adj: tuple[int, ...], within: int, x: int) -> tuple[int, int, int]:
     return comp, anti, mixed
 
 
-# -- vertex-set predicates ------------------------------------------------
-
-
-def _as_mask(g: Graph, vs: Iterable[int]) -> int:
-    mask = 0
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-        mask |= 1 << v
-    return mask
-
-
-def is_clique(g: Graph, vs: Iterable[int]) -> bool:
-    """True iff the vertices are pairwise adjacent (empty and singleton count)."""
-    return _is_clique_mask(g.adj, _as_mask(g, vs))
-
-
-def is_stable(g: Graph, vs: Iterable[int]) -> bool:
-    """True iff the vertices are pairwise nonadjacent."""
-    return _is_stable_mask(g.adj, _as_mask(g, vs))
-
-
-def is_complete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """True iff every vertex of ``a`` is adjacent to every vertex of ``b``.
-
-    The two sets must be disjoint; vacuously true when either is empty.
-    """
-    am, bm = _as_mask(g, a), _as_mask(g, b)
-    if am & bm:
-        raise InputError("sets overlap")
-    return _is_complete_mask(g.adj, am, bm)
-
-
-def is_anticomplete_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """True iff no edges join ``a`` to ``b`` (disjoint sets required)."""
-    am, bm = _as_mask(g, a), _as_mask(g, b)
-    if am & bm:
-        raise InputError("sets overlap")
-    return _is_anticomplete_mask(g.adj, am, bm)
-
-
-def is_dominating(g: Graph, vs: Iterable[int]) -> bool:
-    """True iff every vertex outside ``vs`` has a neighbor inside it."""
-    mask = _as_mask(g, vs)
-    outside = g.full_mask & ~mask
-    while outside:
-        low = outside & -outside
-        if not g.adj[low.bit_length() - 1] & mask:
-            return False
-        outside ^= low
-    return True
+# -- bipartiteness --------------------------------------------------------
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -4,6 +4,9 @@ A homogeneous set is a vertex set X such that every outside vertex is either
 complete or anticomplete to X; the decomposition theory branches on whether a
 nontrivial one exists.  Twins are a two-element special case and get their
 own finders because two of the theorem's cases quantify over them directly.
+A twin finder returns the least pair as a plain ``(u, v)`` with u < v; its
+name says whether the pair is adjacent, and the adjacent finder's pair is
+simplicial as well.
 
 The simplicial and twin kernels take rows and a vertex mask ``within``, so the
 colorer searches an induced part in the graph's own labels; twins come from
@@ -23,13 +26,6 @@ class HomogeneousSet(NamedTuple):
     members: tuple[int, ...]
     complete_side: tuple[int, ...]
     anticomplete_side: tuple[int, ...]
-
-
-class TwinPair(NamedTuple):
-    u: int
-    v: int
-    adjacent: bool
-    simplicial: bool
 
 
 def _closure_mask(g: Graph, seed: int) -> int:
@@ -99,8 +95,8 @@ def are_twins(g: Graph, u: int, v: int) -> bool:
     return g.adj[u] & strip == g.adj[v] & strip
 
 
-def find_adjacent_simplicial_twins(g: Graph) -> TwinPair | None:
-    """Least pair of adjacent twins that are simplicial, or None.
+def find_adjacent_simplicial_twins(g: Graph) -> tuple[int, int] | None:
+    """Least pair u < v of adjacent twins that are simplicial, or None.
 
     Adjacent twins share their closed row, which is then a clique exactly
     when both are simplicial; so the least group of equal closed rows that
@@ -109,15 +105,13 @@ def find_adjacent_simplicial_twins(g: Graph) -> TwinPair | None:
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
     for vs in _equal_row_groups(closed, g.full_mask):
         if _is_clique_mask(g.adj, g.adj[vs[0]]):
-            return TwinPair(vs[0], vs[1], adjacent=True, simplicial=True)
+            return vs[0], vs[1]
     return None
 
 
-def find_nonadjacent_twins(g: Graph) -> TwinPair | None:
-    """Least pair of nonadjacent twins, or None."""
-    pair = _nonadjacent_twins_in(g.adj, g.full_mask)
-    return None if pair is None else TwinPair(
-        *pair, adjacent=False, simplicial=_is_clique_mask(g.adj, g.adj[pair[0]]))
+def find_nonadjacent_twins(g: Graph) -> tuple[int, int] | None:
+    """Least pair u < v of nonadjacent twins, or None."""
+    return _nonadjacent_twins_in(g.adj, g.full_mask)
 
 
 def find_simplicial_vertex(g: Graph) -> int | None:

@@ -25,9 +25,10 @@ def naive_find_induced(pattern_g, host):
         for j in range(i + 1, k):
             pairs.append((i, j, pattern_g.has_edge(i, j)))
     pairs.sort(key=lambda t: not t[2])  # required edges first: fails fastest
+    rows = host.adj
     for tup in permutations(range(host.n), k):
         for i, j, want in pairs:
-            if host.has_edge(tup[i], tup[j]) != want:
+            if (rows[tup[i]] >> tup[j] & 1) != want:
                 break
         else:
             return tup

@@ -6,7 +6,8 @@ import pytest
 import uncluttered as U
 from uncluttered import Graph, InputError, NotUnclutteredError
 
-from uncluttered.chromatic import _max_matching
+import uncluttered.chromatic as C
+from uncluttered.chromatic import _compress, _cover_colors, _max_matching
 
 from oracles import (
     compose_candled,
@@ -31,11 +32,15 @@ def mycielski(g):
     return Graph(2 * n + 1, edges)
 
 
+def _pairwise_adjacent(g, vs):
+    return all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+
+
 def naive_clique_size(g):
     best = 0
     for r in range(g.n, 0, -1):
         for sub in itertools.combinations(range(g.n), r):
-            if U.is_clique(g, sub):
+            if _pairwise_adjacent(g, sub):
                 return r
     return best
 
@@ -55,7 +60,7 @@ def test_max_clique_is_a_maximum_clique(census):
         for g in census[n]:
             q = U.max_clique(g)
             if n:
-                assert U.is_clique(g, q)
+                assert _pairwise_adjacent(g, q)
             assert len(q) == naive_clique_size(g)
             assert U.max_clique(g) == q
     assert U.max_clique(Graph(0)) == ()
@@ -164,6 +169,7 @@ def test_vizing_assignments_are_frozen(census, rng):
 
 
 def test_cover_coloring_frozen_values():
+    # the co-line leaf's raw colors and omega, read off the private kernels
     cases = [
         (U.path_graph(3), (0, 1), 2, 1),
         (U.cycle_graph(5), (0, 0, 1, 2, 3), 4, 2),
@@ -171,35 +177,37 @@ def test_cover_coloring_frozen_values():
         (U.path_graph(5), (0, 1, 2, 3), 4, 2),
     ]
     for root, colors, num, omega in cases:
-        c = U.cover_color_complement_line(root)
-        assert c.colors == colors
-        assert c.num_colors == num and c.omega_used == omega
-        target = U.line_graph(root).complement()
-        assert U.is_proper_coloring(target, c.colors)
-        assert c.num_colors <= 2 * c.omega_used
+        c = tuple(_compress(_cover_colors(root, root.edges())))
+        assert c == colors
+        assert max(c) + 1 == num and _max_matching(root.adj) == omega
+        assert U.is_proper_coloring(U.line_graph(root).complement(), c)
+        assert num <= 2 * omega
 
 
-def test_cover_coloring_random_roots(rng):
+def test_cover_coloring_random_roots(rng, monkeypatch):
+    leaves = []  # one entry per co-line leaf the colourer reaches
+
+    def counting(rows):
+        leaves.append(rows)
+        return _max_matching(rows)
+
+    monkeypatch.setattr(C, "_max_matching", counting)
     for _ in range(40):
         root = random_connected_triangle_free(rng, rng.randint(2, 9))
-        c = U.cover_color_complement_line(root)
         target = U.line_graph(root).complement()
+        c = U.color_uncluttered(target)
         assert U.is_proper_coloring(target, c.colors)
         assert c.num_colors <= 2 * c.omega_used
         assert c.omega_used == U.clique_number(target)
-
-
-def test_cover_coloring_input_checks():
-    with pytest.raises(InputError):
-        U.cover_color_complement_line(U.edgeless_graph(2))
-    with pytest.raises(InputError):
-        U.cover_color_complement_line(U.complete_graph(3))
-    k89 = Graph(17, [(a, b) for a in range(8) for b in range(8, 17)])
-    assert k89.edge_count() == 72
-    with pytest.raises(InputError):
-        U.cover_color_complement_line(k89)
+    assert len(leaves) >= 10  # the others split before reaching the leaf
+    # 64 vertices: omega is the maximum matching of K8,8
     k88 = Graph(16, [(a, b) for a in range(8) for b in range(8, 16)])
-    assert U.cover_color_complement_line(k88).omega_used == 8
+    target = U.line_graph(k88).complement()
+    reached = len(leaves)
+    c = U.color_uncluttered(target)
+    assert len(leaves) == reached + 1
+    assert target.n == 64 and c.omega_used == 8
+    assert U.is_proper_coloring(target, c.colors) and c.num_colors <= 16
 
 
 def _shuffled(rng, g):

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -331,19 +333,36 @@ def test_trees_build_for_every_uncluttered_graph_up_to_eight():
                          "ANTI_LINEGRAPH_TF": 229, "CANDLED": 2}
 
 
-def test_tree_depth_budget_and_errors():
-    with pytest.raises(U.DepthLimitError):
-        U.decomposition_tree(Graph(1), depth_limit=0)
-    # the budget is checked before membership
-    with pytest.raises(U.DepthLimitError):
-        U.decomposition_tree(U.pattern("fork"), depth_limit=0)
-    with pytest.raises(U.DepthLimitError):
-        U.decomposition_tree(U.path_graph(3), depth_limit=1)
-    assert U.decomposition_tree(U.path_graph(3), depth_limit=3)
+def test_tree_rejects_non_members():
     with pytest.raises(U.NotUnclutteredError) as exc:
         U.decomposition_tree(U.pattern("fork"))
     assert exc.value.witness.pattern_name == "fork"
     assert "not uncluttered" in str(exc.value)
+
+
+def _raises(node, where=None):
+    """(enclosing function, raised name) for every raise under node; the
+    name is None for a bare raise or a dotted one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield where, getattr(exc, "id", None)
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _raises(child, inner)
+
+
+def test_package_raises_only_documented_errors():
+    # No "impossible" RuntimeError: a raise names a documented error, or is
+    # the census's count self-check or Graph's immutability guard.
+    documented = {"InputError", "NotUnclutteredError", "TheoremViolationError"}
+    exceptions = {("census.py", "enumerate_graphs", "AssertionError"),
+                  ("graph.py", "__setattr__", "AttributeError")}
+    found = set()
+    for path in sorted(Path(U.__file__).parent.glob("*.py")):
+        for where, name in _raises(ast.parse(path.read_text())):
+            if name not in documented:
+                found.add((path.name, where, name))
+    assert found == exceptions
 
 
 def test_tree_recognizes_membership_once(monkeypatch):

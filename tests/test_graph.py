@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import pickle
 
 import pytest
@@ -9,7 +10,8 @@ import hypothesis.strategies as st
 import uncluttered as U
 from uncluttered import Graph, InputError
 from uncluttered.graph import (
-    MAX_VERTICES, _component_masks, _mask_to_tuple, _refine, invariant_key)
+    MAX_VERTICES, _component_masks, _is_anticomplete_mask, _is_clique_mask,
+    _is_complete_mask, _is_stable_mask, _mask_to_tuple, _refine, invariant_key)
 
 from oracles import naive_components, naive_isomorphic, random_graph
 
@@ -193,30 +195,30 @@ def test_induced_agrees_with_a_pairwise_copy(rng):
 
 def test_clique_and_stable_predicates():
     g = U.pattern("diamond")
-    assert U.is_clique(g, [0, 1, 2])
-    assert not U.is_clique(g, [0, 1, 2, 3])
-    assert U.is_stable(g, [0, 3])
-    assert U.is_clique(g, [])
-    assert U.is_stable(g, [2])
+    assert _is_clique_mask(g.adj, 0b0111)
+    assert not _is_clique_mask(g.adj, 0b1111)
+    assert _is_stable_mask(g.adj, 0b1001)
+    assert _is_clique_mask(g.adj, 0)
+    assert _is_stable_mask(g.adj, 0b0100)
+    for mask in range(1 << g.n):
+        pairs = list(itertools.combinations(_mask_to_tuple(mask), 2))
+        assert _is_clique_mask(g.adj, mask) == all(g.has_edge(u, v) for u, v in pairs)
+        assert _is_stable_mask(g.adj, mask) == (not any(g.has_edge(u, v) for u, v in pairs))
 
 
 def test_between_predicates_require_disjoint_sides():
     g = U.cycle_graph(4)
-    assert U.is_complete_between(g, [0], [1, 3])
-    assert U.is_anticomplete_between(g, [0], [2])
-    assert not U.is_complete_between(g, [0], [2])
-    with pytest.raises(InputError):
-        U.is_complete_between(g, [0, 1], [1])
-    with pytest.raises(InputError):
-        U.is_anticomplete_between(g, [2], [2, 3])
-
-
-def test_dominating_sets():
-    g = U.cycle_graph(5)
-    assert U.is_dominating(g, [0, 2])
-    assert not U.is_dominating(g, [0])
-    assert U.is_dominating(g, range(5))
-    assert not U.is_dominating(U.edgeless_graph(2), [0])
+    assert _is_complete_mask(g.adj, 0b0001, 0b1010)
+    assert _is_anticomplete_mask(g.adj, 0b0001, 0b0100)
+    assert not _is_complete_mask(g.adj, 0b0001, 0b0100)
+    assert _is_complete_mask(g.adj, 0, 0b1111) and _is_anticomplete_mask(g.adj, 0b1111, 0)
+    for a, b in itertools.product(range(1 << g.n), repeat=2):
+        if a & b:
+            continue
+        pairs = list(itertools.product(_mask_to_tuple(a), _mask_to_tuple(b)))
+        assert _is_complete_mask(g.adj, a, b) == all(g.has_edge(u, v) for u, v in pairs)
+        assert _is_anticomplete_mask(g.adj, a, b) == (
+            not any(g.has_edge(u, v) for u, v in pairs))
 
 
 def test_bipartiteness():

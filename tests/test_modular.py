@@ -103,12 +103,8 @@ def test_twin_detection():
     assert not U.are_twins(dia, 0, 1)
     assert U.are_twins(dia, 1, 2)
 
-    tw = U.find_nonadjacent_twins(dia)
-    assert (tw.u, tw.v) == (0, 3)
-    assert not tw.adjacent
-
-    tw = U.find_adjacent_simplicial_twins(U.complete_graph(3))
-    assert (tw.u, tw.v) == (0, 1) and tw.adjacent and tw.simplicial
+    assert U.find_nonadjacent_twins(dia) == (0, 3)
+    assert U.find_adjacent_simplicial_twins(U.complete_graph(3)) == (0, 1)
     assert U.find_adjacent_simplicial_twins(U.cycle_graph(4)) is None
     assert U.find_nonadjacent_twins(U.path_graph(4)) is None
     assert U.find_nonadjacent_twins(U.cycle_graph(4)) is not None
@@ -125,7 +121,7 @@ def test_mask_kernels_match_the_finders_on_induced_subgraphs(census):
                 v = U.find_simplicial_vertex(sub)
                 assert _simplicial_in(g.adj, mask) == (None if v is None else keep[v])
                 tw = U.find_nonadjacent_twins(sub)
-                expect = None if tw is None else (keep[tw.u], keep[tw.v])
+                expect = None if tw is None else (keep[tw[0]], keep[tw[1]])
                 assert _nonadjacent_twins_in(g.adj, mask) == expect, U.to_graph6(g)
 
 
@@ -137,9 +133,10 @@ def test_adjacent_simplicial_twins_are_what_they_claim(rng):
         if tw is None:
             continue
         hits += 1
-        assert g.has_edge(tw.u, tw.v)
-        assert U.are_twins(g, tw.u, tw.v)
-        assert U.is_simplicial(g, tw.u)
+        u, v = tw
+        assert u < v and g.has_edge(u, v)
+        assert U.are_twins(g, u, v)
+        assert U.is_simplicial(g, u) and U.is_simplicial(g, v)
     assert hits > 20
 
 
