@@ -97,7 +97,6 @@ def _max_degree(g: Graph) -> int:
 def audit_one(g: Graph, suites: tuple[str, ...]) -> dict:
     """All selected suite checks for one graph; returns a mergeable record."""
     n = g.n
-    gc = g.complement()
     record = {"n": n, "uncluttered": None, "case": None,
               "checked": [], "fails": [], "ratio": None}
 
@@ -153,24 +152,26 @@ def audit_one(g: Graph, suites: tuple[str, ...]) -> dict:
     if ("claw-anticlaw" in suites and n <= SUITE_CAPS["claw-anticlaw"]
             and not has_induced(g, "claw") and not has_induced(g, "anticlaw")):
         record["checked"].append("claw-anticlaw")
-        if not any(_max_degree(h) <= 2 or is_line_graph_of_bipartite(h) for h in (g, gc)):
+        if not any(_max_degree(h) <= 2 or is_line_graph_of_bipartite(h)
+                   for h in (g, g.complement())):
             record["fails"].append("claw-anticlaw")
 
-    if ("no-homog" in suites and n <= SUITE_CAPS["no-homog"] and uncl
-            and g.is_connected() and gc.is_connected()
-            and find_adjacent_simplicial_twins(g) is None
-            and find_adjacent_simplicial_twins(gc) is None
-            and detect_candled(g) is None
-            and detect_candled(gc) is None):
-        record["checked"].append("no-homog")
-        if not is_prime():
-            record["fails"].append("no-homog")
+    if "no-homog" in suites and n <= SUITE_CAPS["no-homog"] and uncl:
+        gc = g.complement()
+        if (g.is_connected() and gc.is_connected()
+                and find_adjacent_simplicial_twins(g) is None
+                and find_adjacent_simplicial_twins(gc) is None
+                and detect_candled(g) is None
+                and detect_candled(gc) is None):
+            record["checked"].append("no-homog")
+            if not is_prime():
+                record["fails"].append("no-homog")
 
     if ("prime-linegraph" in suites and n <= SUITE_CAPS["prime-linegraph"]
             and uncl and is_prime()):
         record["checked"].append("prime-linegraph")
         if (recognize_line_graph_triangle_free(g) is None
-                and recognize_line_graph_triangle_free(gc) is None):
+                and recognize_line_graph_triangle_free(g.complement()) is None):
             record["fails"].append("prime-linegraph")
 
     return record

@@ -1,17 +1,24 @@
 """Exhaustive enumeration of small graphs up to isomorphism.
 
 Graphs on n vertices are generated by extending each (n-1)-vertex
-representative with a new last vertex attached along every possible
-neighborhood mask.  Each candidate gets its canonical form
-(``graph.invariant_key``), and the first candidate seen with each form is
-kept.  Results are cached per n and returned sorted by their graph6 string,
-which makes downstream reports reproducible.
+representative with a new last vertex attached along a neighbourhood mask.
+Each candidate gets its canonical form (``graph.invariant_key``), and the
+first candidate seen with each form is kept.  Results are cached per n and
+returned sorted by their graph6 string, which makes downstream reports
+reproducible.
+
+Masks in one orbit of the parent's automorphism group give isomorphic
+candidates (McKay, Isomorph-free exhaustive generation, 1998), so each
+parent is extended only by the least mask of each orbit.  This keeps the
+same representatives: the first candidate of a class, in (parent order,
+ascending mask) order, has an orbit-least mask, since any smaller mask in
+its orbit would give an isomorphic candidate that comes earlier.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .graph import Graph, invariant_key
+from .graph import Graph, _automorphism_generators, invariant_key
 from .graphio import to_graph6
 
 # Known counts of graphs up to isomorphism for n = 0..8, used as a self-check
@@ -39,7 +46,7 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         firsts: dict[tuple[int, ...], Graph] = {}
         for parent in enumerate_graphs(n - 1):
             rows = parent.adj
-            for mask in range(1 << (n - 1)):
+            for mask in _extension_masks(parent):
                 cand_rows = tuple(
                     rows[u] | ((mask >> u & 1) << (n - 1)) for u in range(n - 1)
                 ) + (mask,)
@@ -55,3 +62,37 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         )
     _cache[n] = out
     return out
+
+
+def _extension_masks(parent: Graph) -> list[int] | range:
+    """The least neighbourhood mask in each orbit of Aut(parent), ascending.
+
+    Every mask is marked once, by a walk over its orbit under the
+    generators; a generator maps masks through a table of all their images.
+    """
+    k = parent.n
+    gens = _automorphism_generators(parent)
+    if not gens:
+        return range(1 << k)
+    tables = []
+    for gamma in gens:
+        table = [0]
+        for v in range(k):
+            bit = 1 << gamma[v]
+            table += [image | bit for image in table]
+        tables.append(table)
+    marked = bytearray(1 << k)
+    least = []
+    for mask in range(1 << k):
+        if marked[mask]:
+            continue
+        least.append(mask)
+        marked[mask] = 1
+        orbit = [mask]
+        for m in orbit:
+            for table in tables:
+                image = table[m]
+                if not marked[image]:
+                    marked[image] = 1
+                    orbit.append(image)
+    return least

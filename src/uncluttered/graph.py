@@ -13,7 +13,9 @@ They are the one implementation of each check, and the other layers call
 them on parts of a graph in its own labels.  Isomorphism has one engine:
 the canonical form ``invariant_key``, an individualization-refinement search
 over ``_refine`` pruned by the automorphisms it finds; ``are_isomorphic``
-compares two keys.
+compares two keys.  The census takes a graph's automorphism generators
+from the same search (``_automorphism_generators``), adding the twin swaps
+that the search skips without recording.
 """
 
 from __future__ import annotations
@@ -477,9 +479,37 @@ def invariant_key(g: Graph) -> tuple[int, ...]:
     A pruned subtree is an automorphic image of an explored subtree, with
     the same leaves, so pruning changes the cost and never the key.
     """
+    return _search(g)[1][0]
+
+
+def _search(g: Graph) -> list:
+    """Run the canonical search on g; return its ``found`` (see ``_leaf``)."""
     found = [None, None, []]
     _least_leaf(g.adj, [g.full_mask] if g.n else [], [], found)
-    return found[1][0]
+    return found
+
+
+def _automorphism_generators(g: Graph) -> list[list[int]]:
+    """Automorphisms of g as vertex maps: those that the search behind
+    ``invariant_key`` meets, plus the transposition of every twin pair (two
+    vertices whose rows are equal apart from each other), whose subtrees the
+    search skips without recording the swap.
+
+    On every census parent they have the whole group's orbits on vertex
+    sets: the tests compare them with a brute-force group up to 6 vertices,
+    and pin the candidate counts, the whole group's orbit counts, up to 7.
+    The census relies only on their being automorphisms; a smaller group
+    would cost it candidates, never a class.
+    """
+    gens = _search(g)[2]
+    adj = g.adj
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                swap = list(range(g.n))
+                swap[u], swap[v] = v, u
+                gens.append(swap)
+    return gens
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -340,3 +340,32 @@ def compose_candled(rest_graph, cand_graph, base):
     edges += [(shift + a, shift + b) for a, b in rest_graph.edges()]
     edges += [(b, shift + a) for b in base for a in range(rest_graph.n)]
     return Graph(shift + rest_graph.n, edges)
+
+
+def automorphism_group(g):
+    """Every automorphism of g, as a tuple whose entry v is the image of v.
+
+    Degree-preserving backtracking: vertex i may go to any unused vertex of
+    its degree whose adjacency to the images of vertices 0..i-1 matches its
+    own adjacency to those vertices.
+    """
+    n = g.n
+    deg = [g.degree(v) for v in range(n)]
+    image = []
+    out = []
+
+    def extend():
+        i = len(image)
+        if i == n:
+            out.append(tuple(image))
+            return
+        for w in range(n):
+            if (w not in image and deg[w] == deg[i]
+                    and all(g.has_edge(i, j) == g.has_edge(w, image[j])
+                            for j in range(i))):
+                image.append(w)
+                extend()
+                image.pop()
+
+    extend()
+    return out

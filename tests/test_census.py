@@ -1,13 +1,14 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
 import uncluttered as U
-from uncluttered import InputError
-from uncluttered.census import MAX_CENSUS_N
+from uncluttered import InputError, census as census_module
+from uncluttered.census import MAX_CENSUS_N, _extension_masks
 from uncluttered.graph import invariant_key
 
-from oracles import random_graph
+from oracles import automorphism_group, random_graph
 
 
 def test_level_sizes_match_the_known_table(census):
@@ -57,6 +58,41 @@ def test_census_labels_are_frozen():
     for n, want in CENSUS_LABEL_SHA256.items():
         labels = "\n".join(U.to_graph6(g) for g in U.enumerate_graphs(n))
         assert hashlib.sha256(labels.encode()).hexdigest() == want, n
+
+
+def _image(mask, gamma):
+    return sum(1 << gamma[v] for v in range(len(gamma)) if mask >> v & 1)
+
+
+def test_census_tries_the_least_mask_of_each_orbit(census):
+    for n in range(7):
+        for parent in census[n]:
+            group = automorphism_group(parent)
+            least = [mask for mask in range(1 << n)
+                     if all(_image(mask, gamma) >= mask for gamma in group)]
+            assert list(_extension_masks(parent)) == least, U.to_graph6(parent)
+
+
+# Canonical keys computed per level n = 1..8: the orbits of neighbourhood
+# masks under the parents' full automorphism groups.  A weaker generator set
+# keeps the labels (the first candidate of each class survives any pruning
+# by automorphisms) and shows only here, as more candidates.
+CANDIDATES = (1, 2, 6, 20, 90, 544, 5096, 79264)
+
+
+def test_candidate_counts_are_pinned(monkeypatch):
+    keyed = Counter()
+    key = census_module.invariant_key
+
+    def counting_key(g):
+        keyed[g.n] += 1
+        return key(g)
+
+    monkeypatch.setattr(census_module, "invariant_key", counting_key)
+    monkeypatch.setattr(census_module, "_cache", {})
+    parents = U.enumerate_graphs(7)
+    assert [keyed[n] for n in range(1, 8)] == list(CANDIDATES[:7])
+    assert sum(len(_extension_masks(p)) for p in parents) == CANDIDATES[7]
 
 
 def test_cap_and_validation():
