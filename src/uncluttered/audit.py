@@ -5,31 +5,28 @@ whose size its cap allows, and any failure names the offending graph in
 graph6 form.  The suites run on ``Graph`` objects: enumerated graphs go in
 as the census built them and a graph6 stream is decoded once, and only a
 graph that the report stores (a failure or a new best chi/omega ratio) is
-encoded back to graph6.  Reports merge deterministically: the per-graph
-records are folded in enumeration order no matter how many worker processes
-ran, and the JSON form never contains timing, so equal inputs give
-byte-equal reports.
+encoded back to graph6.  The per-graph records are folded in input order,
+and the JSON form never contains timing, so equal inputs give byte-equal
+reports.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from functools import partial
 
 from .census import MAX_CENSUS_N, enumerate_graphs
 from .chromatic import chromatic_number_exact, clique_number, color_uncluttered, is_proper_coloring
 from .decompose import ALL_CASES, classify, verify_certificate
 from .errors import InputError, TheoremViolationError
-from .graph import Graph, _is_clique_mask, _mask_to_tuple
+from .graph import MAX_VERTICES, Graph, _is_clique_mask, _mask_to_tuple
 from .graphio import from_graph6, to_graph6
 from .modular import find_adjacent_simplicial_twins, find_nontrivial_homogeneous_set
 from .patterns import has_induced, is_uncluttered
 from .structure import detect_candled, is_line_graph_of_bipartite, recognize_line_graph_triangle_free
 
 SUITE_CAPS = {
-    "main-theorem": 8,
+    "main-theorem": MAX_VERTICES,
     "chi-bound": 8,
     "diamond": 7,
     "mixed-triangle": 7,
@@ -232,47 +229,38 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit(n_max: int, suites=None, jobs: int = 1, graphs=None) -> AuditReport:
-    """Run the selected suites over all graphs with 1 <= n <= n_max.
+def audit(n_max: int, suites=None, graphs=None) -> AuditReport:
+    """Run the selected suites, in this process, over the census graphs with
+    1 <= n <= n_max, or over ``graphs`` when given.
 
-    ``graphs`` (an iterable of graph6 strings) replaces the built-in
-    enumeration when given; each line is decoded once, and each graph is
-    still gated by the per-suite size caps.  Without it, n_max must lie in
-    1..MAX_CENSUS_N.  ``jobs`` must be at least 1; more than one runs the
-    suites in that many worker processes, but never more than the machine's
-    CPU count.
+    ``n_max`` applies only to the census and must lie in 1..MAX_CENSUS_N.
+    ``graphs`` is an iterable of graph6 strings, each decoded once and still
+    gated by the per-suite size caps; the report's n_max is then the largest
+    vertex count scanned (0 for an empty stream).  ``suites`` (default: all)
+    must name at least one suite.
     """
     t0 = time.monotonic()
-    if suites is None:
-        suites = SUITE_NAMES
-    suites = tuple(suites)
+    suites = SUITE_NAMES if suites is None else tuple(suites)
+    if not suites:
+        raise InputError(f"audit needs at least one suite; known: {', '.join(SUITE_NAMES)}")
     for s in suites:
         if s not in SUITE_CAPS:
             raise InputError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
-    if jobs < 1:
-        raise InputError(f"audit needs jobs >= 1, got {jobs}")
     if graphs is None:
         if not 1 <= n_max <= MAX_CENSUS_N:
             raise InputError(f"audit needs 1 <= n_max <= {MAX_CENSUS_N}, got {n_max}")
         work = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
     else:
         work = [from_graph6(line.strip()) for line in graphs if line.strip()]
+        n_max = max((g.n for g in work), default=0)
     report = AuditReport(n_max=n_max, suites=suites)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1:
-        _merge(report, work, (audit_one(g, suites) for g in work))
-    else:
-        from multiprocessing import Pool  # only parallel runs pay its import
-        chunk = max(1, len(work) // (jobs * 8))
-        with Pool(jobs) as pool:
-            _merge(report, work,
-                   pool.imap(partial(audit_one, suites=suites), work, chunksize=chunk))
+    _merge(report, work, (audit_one(g, suites) for g in work))
     report.wall_seconds = time.monotonic() - t0
     return report
 
 
 def _merge(report: AuditReport, graphs, records) -> None:
-    """Fold each graph's record into the report, in enumeration order.
+    """Fold each graph's record into the report, in input order.
 
     A graph is encoded to graph6 only when the report stores it: as one of
     the first MAX_STORED_FAILURES failures of a suite, or as a new best ratio.

@@ -129,11 +129,11 @@ def _cmd_decode(args) -> int:
 
 def _cmd_audit(args) -> int:
     suites = None
-    if args.suite:
+    if args.suite is not None:
         suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     graphs = _read_text(args).splitlines() if args.from_file else None
     try:
-        report = audit(args.n_max, suites=suites, jobs=args.jobs, graphs=graphs)
+        report = audit(args.n_max, suites=suites, graphs=graphs)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -180,14 +180,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="exhaustive lemma suites over small graphs")
     p.add_argument("--n-max", type=int, default=6, metavar="K",
-                   help="largest vertex count to enumerate (default 6)")
+                   help="largest vertex count to enumerate (default 6; "
+                        "ignored with --from)")
     p.add_argument("--suite", metavar="NAME[,NAME...]",
                    help="comma-separated suite selection (default: all of "
                         + ", ".join(SUITE_NAMES) + ")")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report (no timing, byte-stable)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (default 1)")
     p.add_argument("--from", dest="from_file", metavar="FILE",
                    help="audit a graph6 stream from FILE instead of enumerating")
     p.set_defaults(func=_cmd_audit)

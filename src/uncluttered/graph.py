@@ -40,6 +40,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError(f"vertex count must be an int, got {n!r}")
         if not 0 <= n <= MAX_VERTICES:
             raise InputError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
         adj = [0] * n

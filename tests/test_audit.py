@@ -7,6 +7,7 @@ import uncluttered as U
 from uncluttered import InputError
 from uncluttered.audit import (MAX_STORED_FAILURES, AuditReport, _every_triangle_dominating,
                                _merge, _no_dominating_clique, audit_one)
+from uncluttered.graph import MAX_VERTICES
 
 from oracles import every_triangle_dominating, no_dominating_clique
 
@@ -17,7 +18,7 @@ ALL_SUITES = ("main-theorem", "chi-bound", "diamond", "mixed-triangle",
 def test_suite_registry_is_fixed():
     assert U.SUITE_NAMES == ALL_SUITES
     assert U.SUITE_CAPS == {
-        "main-theorem": 8,
+        "main-theorem": MAX_VERTICES,
         "chi-bound": 8,
         "diamond": 7,
         "mixed-triangle": 7,
@@ -105,11 +106,8 @@ def test_audit_six_summary_numbers():
     assert r.max_ratio_graph6 == "DUW"
 
 
-def test_audit_json_is_deterministic_and_jobs_invariant():
-    a = U.audit(5).to_json()
-    b = U.audit(5).to_json()
-    c = U.audit(5, jobs=2).to_json()
-    assert a == b == c
+def test_audit_json_is_deterministic():
+    assert U.audit(5).to_json() == U.audit(5).to_json()
 
 
 def test_audit_stream_mode():
@@ -128,6 +126,27 @@ def test_audit_stream_mode():
     assert tuple(r.suites) == ("chi-bound",)
 
 
+def test_audit_stream_reports_its_largest_vertex_count():
+    # n_max bounds only the census; a stream reports what it scanned
+    for n_max in (0, 5, 99):
+        assert U.audit(n_max, graphs=["Dhc", "@"]).n_max == 5
+        assert U.audit(n_max, graphs=[]).to_json_dict()["n_max"] == 0
+    r = U.audit(5, suites=("chi-bound",), graphs=["Dhc", "IT}w@o|nw"])
+    assert r.n_max == 10 and r.per_n == {5: 1, 10: 1}
+    # chi-bound keeps its census cap, so the 10-vertex graph goes unchecked
+    assert r.suite_results["chi-bound"]["checked"] == 1
+
+
+def test_audit_stream_runs_the_main_theorem_past_the_census():
+    r = U.audit(5, suites=("main-theorem",), graphs=["Dhc", "IT}w@o|nw"])
+    assert r.failed
+    assert r.case_histogram["THEOREM_VIOLATION"] == 1
+    assert r.case_histogram["LINEGRAPH_TF"] == 1
+    res = r.suite_results["main-theorem"]
+    assert (res["checked"], res["passed"], res["failed"]) == (2, 1, 1)
+    assert res["failures"] == ["IT}w@o|nw"]
+
+
 def test_audit_input_validation():
     with pytest.raises(InputError):
         U.audit(4, suites=("main-theorem", "nope"))
@@ -137,38 +156,12 @@ def test_audit_input_validation():
         U.audit(9)
     with pytest.raises(InputError):
         U.audit(4, graphs=["Dhc", "not graph6 at all"])
-    for jobs in (0, -5):
-        with pytest.raises(InputError, match="jobs"):
-            U.audit(4, jobs=jobs)
-
-
-def test_audit_starts_at_most_cpu_count_workers(monkeypatch):
-    import multiprocessing
-    made = []
-
-    class SerialPool:
-        """Records the worker count and runs the work in this process."""
-
-        def __init__(self, processes):
-            made.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, work, chunksize=1):
-            return map(func, work)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    expect = U.audit(4).to_json()
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
-    assert U.audit(4, jobs=100_000).to_json() == expect
-    assert U.audit(4, jobs=2).to_json() == expect
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert U.audit(4, jobs=100_000).to_json() == expect
-    assert made == [3, 2]
+    # an empty selection would pass vacuously
+    for suites in ((), []):
+        with pytest.raises(InputError, match="at least one suite"):
+            U.audit(4, suites=suites)
+        with pytest.raises(InputError, match="at least one suite"):
+            U.audit(4, suites=suites, graphs=["Dhc"])
 
 
 # SHA-256 of audit(7).to_json(), all suites, taken before the audit ran on

@@ -1,10 +1,15 @@
+import argparse
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import uncluttered as U
-from uncluttered.cli import main
+from uncluttered.cli import main, make_parser
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -161,6 +166,19 @@ def test_audit_stream_input(tmp_path, monkeypatch, capsys):
                            ["audit", "--n-max", "5", "--json", "--from", "-"],
                            "Dhc\n")
     assert code == 0 and json.loads(out)["graphs_scanned"] == 1
+    # --n-max bounds only the census; the report names the largest graph
+    code, out, _ = run_cli(monkeypatch, capsys,
+                           ["audit", "--n-max", "99", "--json", "--from", "-"],
+                           "Dhc\n@\n")
+    assert code == 0 and json.loads(out)["n_max"] == 5
+
+
+def test_audit_stream_checks_the_main_theorem_past_the_census(monkeypatch, capsys):
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["audit", "--from", "-", "--suite", "main-theorem"],
+                             "Dhc\nIT}w@o|nw\n")
+    assert code == 1 and err == ""
+    assert "suite main-theorem: 2 checked, 1 failed [IT}w@o|nw]" in out
 
 
 def test_audit_argument_errors(monkeypatch, capsys):
@@ -173,11 +191,17 @@ def test_audit_argument_errors(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys,
                              ["audit", "--from", "/no/such/stream.g6"])
     assert code == 2 and err.startswith("error: ")
-    for jobs in ("0", "-5"):
+    for suite in (",", "", " , "):
         code, out, err = run_cli(monkeypatch, capsys,
-                                 ["audit", "--n-max", "4", "--jobs", jobs])
+                                 ["audit", "--n-max", "4", "--suite", suite])
         assert (code, out) == (2, "")
-        assert err == f"error: audit needs jobs >= 1, got {jobs}\n"
+        assert err.startswith("error: audit needs at least one suite")
+        assert err.count("\n") == 1
+    # the worker-count option is gone: argparse rejects it as unknown
+    with pytest.raises(SystemExit) as exc:
+        run_cli(monkeypatch, capsys, ["audit", "--n-max", "4", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_audit_suite_selection(monkeypatch, capsys):
@@ -197,3 +221,18 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["certificate"]["case"] == "LINEGRAPH_TF"
+
+
+def test_readme_names_exactly_the_cli_long_options():
+    """A removed option cannot linger in the docs, nor a new one go unnamed."""
+    defined = set()
+    parsers = [make_parser()]
+    while parsers:
+        p = parsers.pop()
+        for action in p._actions:
+            defined.update(o for o in action.option_strings if o.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert named == defined

@@ -54,6 +54,9 @@ def test_construction_rejects_bad_input():
         Graph(-1)
     with pytest.raises(InputError):
         Graph(MAX_VERTICES + 1)
+    for n in (True, False, 2.0, "3", None):
+        with pytest.raises(InputError, match="must be an int"):
+            Graph(n)
     # duplicate edges collapse rather than erroring
     assert Graph(2, [(0, 1), (1, 0)]).edge_count() == 1
 
