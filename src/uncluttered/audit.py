@@ -246,6 +246,10 @@ def audit(n_max: int, suites=None, graphs=None) -> AuditReport:
     for s in suites:
         if s not in SUITE_CAPS:
             raise InputError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
+    if isinstance(n_max, bool) or not isinstance(n_max, int):
+        raise InputError(f"n_max must be an int, got {n_max!r}")
+    if isinstance(graphs, str):
+        raise InputError("graphs must be an iterable of graph6 strings, not one string")
     if graphs is None:
         if not 1 <= n_max <= MAX_CENSUS_N:
             raise InputError(f"audit needs 1 <= n_max <= {MAX_CENSUS_N}, got {n_max}")

@@ -15,7 +15,8 @@ the canonical form ``invariant_key``, an individualization-refinement search
 over ``_refine`` pruned by the automorphisms it finds; ``are_isomorphic``
 compares two keys.  The census takes a graph's automorphism generators
 from the same search (``_automorphism_generators``), adding the twin swaps
-that the search skips without recording.
+that the search skips without recording.  Twin classes, open or closed,
+come from one grouping of equal rows (``_row_classes``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,14 @@ class Graph:
         if not 0 <= n <= MAX_VERTICES:
             raise InputError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
         adj = [0] * n
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge!r} is not a pair of vertices") from None
+            for w in (u, v):
+                if isinstance(w, bool) or not isinstance(w, int):
+                    raise InputError(f"edge endpoint must be an int, got {w!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -263,6 +271,20 @@ def _sides(adj: tuple[int, ...], within: int, x: int) -> tuple[int, int, int]:
             anti |= low
         m ^= low
     return comp, anti, mixed
+
+
+def _row_classes(rows: tuple[int, ...] | list[int], within: int) -> list[int]:
+    """Vertex masks of ``within`` grouped by ``rows[v] & within``, ordered by
+    least member; a vertex whose row no other shares is a class of its own.
+
+    On open rows (``adj``) a class holds pairwise nonadjacent twins, on
+    closed rows (``adj[v] | 1 << v``) pairwise adjacent ones.
+    """
+    classes: dict[int, int] = {}
+    for v in _mask_to_tuple(within):
+        key = rows[v] & within
+        classes[key] = classes.get(key, 0) | 1 << v
+    return list(classes.values())
 
 
 # -- bipartiteness --------------------------------------------------------
@@ -493,9 +515,10 @@ def _search(g: Graph) -> list:
 
 def _automorphism_generators(g: Graph) -> list[list[int]]:
     """Automorphisms of g as vertex maps: those that the search behind
-    ``invariant_key`` meets, plus the transposition of every twin pair (two
-    vertices whose rows are equal apart from each other), whose subtrees the
-    search skips without recording the swap.
+    ``invariant_key`` meets, plus the transposition of each two consecutive
+    members of every open-twin and closed-twin class (``_row_classes``);
+    these generate every twin swap, whose subtrees the search skips without
+    recording it.
 
     On every census parent they have the whole group's orbits on vertex
     sets: the tests compare them with a brute-force group up to 6 vertices,
@@ -504,10 +527,11 @@ def _automorphism_generators(g: Graph) -> list[list[int]]:
     would cost it candidates, never a class.
     """
     gens = _search(g)[2]
-    adj = g.adj
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    for rows in (g.adj, closed):
+        for twins in _row_classes(rows, g.full_mask):
+            vs = _mask_to_tuple(twins)
+            for u, v in zip(vs, vs[1:]):
                 swap = list(range(g.n))
                 swap[u], swap[v] = v, u
                 gens.append(swap)

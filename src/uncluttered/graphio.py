@@ -8,33 +8,26 @@ offset by 63.  Sizes up to 62 use the single-byte header; 63 and 64 use the
 header form must be the canonical one for the size, and no bytes may trail,
 so decode(encode(g)) and encode(decode(s)) are both identities.  A line
 holding any non-ASCII character is rejected, never read as some other byte.
+
+Both directions hold the body as one string of '0'/'1' characters.  Column v,
+the bits of (0,v), (1,v), ..., (v-1,v), is the slice [v(v-1)/2, v(v+1)/2):
+row v's low v bits, least vertex first.  Six characters make one byte.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, _mask_to_tuple
 
 
 def to_graph6(g: Graph) -> str:
-    if g.n <= 62:
-        head = [g.n + 63]
-    else:
-        head = [126, 63 + (g.n >> 12 & 63), 63 + (g.n >> 6 & 63), 63 + (g.n & 63)]
-    bits = []
-    for v in range(1, g.n):
-        col = g.adj[v]
-        for u in range(v):
-            bits.append(col >> u & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        byte = 0
-        for b in bits[i:i + 6]:
-            byte = byte << 1 | b
-        body.append(byte + 63)
-    return bytes(head + body).decode("ascii")
+    n = g.n
+    # Every byte gets the offset 63, so the long header's leading 63 is '~'.
+    head = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    bits = "".join(f"{g.adj[v] & ~(-1 << v):0{v}b}"[::-1] for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    body = [int(bits[i:i + 6], 2) for i in range(0, len(bits), 6)]
+    return bytes(b + 63 for b in head + body).decode("ascii")
 
 
 def from_graph6(line: str) -> Graph:
@@ -63,32 +56,16 @@ def from_graph6(line: str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise InputError(f"graph6 body has {len(body)} bytes, expected {expect}")
-    order = _EDGE_ORDER_CACHE.get(n)
-    if order is None:
-        order = _EDGE_ORDER_CACHE[n] = _edge_order(n)
+    bits = "".join(bin(byte - 63)[2:].zfill(6) for byte in body)
+    if "1" in bits[nbits:]:
+        raise InputError("noncanonical graph6: nonzero padding bits")
     rows = [0] * n
-    idx = 0
-    for byte in body:
-        group = byte - 63
-        for k in range(5, -1, -1):
-            bit = group >> k & 1
-            if idx >= nbits:
-                if bit:
-                    raise InputError("noncanonical graph6: nonzero padding bits")
-                continue
-            if bit:
-                u, v = order[idx]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            idx += 1
+    for v in range(1, n):
+        col = int(bits[v * (v - 1) // 2:v * (v + 1) // 2][::-1], 2)
+        rows[v] |= col
+        for u in _mask_to_tuple(col):
+            rows[u] |= 1 << v
     return Graph.from_rows(tuple(rows))
-
-
-def _edge_order(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for v in range(1, n) for u in range(v)]
-
-
-_EDGE_ORDER_CACHE: dict[int, list[tuple[int, int]]] = {}
 
 
 def to_edge_list(g: Graph) -> str:

@@ -10,7 +10,8 @@ simplicial as well.
 
 The simplicial and twin kernels take rows and a vertex mask ``within``, so the
 colorer searches an induced part in the graph's own labels; twins come from
-one grouping of equal rows, which gives the least pair as a pair scan would.
+one grouping of equal rows (``graph._row_classes``), whose first class with
+two members gives the least pair as a pair scan would.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError
-from .graph import Graph, _is_clique_mask, _mask_to_tuple, _sides
+from .graph import Graph, _is_clique_mask, _mask_to_tuple, _row_classes, _sides
 
 
 class HomogeneousSet(NamedTuple):
@@ -38,15 +39,6 @@ def _closure_mask(g: Graph, seed: int) -> int:
         x |= mixed
 
 
-def _equal_row_groups(rows: tuple[int, ...] | list[int], within: int) -> list[list[int]]:
-    """Groups of two or more vertices of ``within`` with one row inside it,
-    ordered by least member."""
-    groups: dict[int, list[int]] = {}
-    for v in _mask_to_tuple(within):
-        groups.setdefault(rows[v] & within, []).append(v)
-    return [vs for vs in groups.values() if len(vs) > 1]
-
-
 def _simplicial_in(adj: tuple[int, ...], within: int) -> int | None:
     """Least vertex of ``within`` whose neighbours inside it form a clique."""
     for v in _mask_to_tuple(within):
@@ -58,8 +50,10 @@ def _simplicial_in(adj: tuple[int, ...], within: int) -> int | None:
 def _nonadjacent_twins_in(adj: tuple[int, ...], within: int) -> tuple[int, int] | None:
     """Least pair u < v of ``within`` with ``adj[u] & within == adj[v] & within``;
     equal rows make u and v nonadjacent, as no row holds its own vertex."""
-    groups = _equal_row_groups(adj, within)
-    return (groups[0][0], groups[0][1]) if groups else None
+    for twins in _row_classes(adj, within):
+        if twins & twins - 1:
+            return _mask_to_tuple(twins)[:2]
+    return None
 
 
 def find_nontrivial_homogeneous_set(g: Graph) -> HomogeneousSet | None:
@@ -82,13 +76,21 @@ def find_nontrivial_homogeneous_set(g: Graph) -> HomogeneousSet | None:
     return None
 
 
+def _check_vertices(g: Graph, *vs: int) -> None:
+    for v in vs:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.n:
+            raise InputError(f"vertex {v!r} out of range for n={g.n}")
+
+
 def is_simplicial(g: Graph, v: int) -> bool:
     """True iff the neighborhood of v is a clique (isolated vertices count)."""
+    _check_vertices(g, v)
     return _is_clique_mask(g.adj, g.adj[v])
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:
     """True iff u and v agree on all neighbors outside the pair itself."""
+    _check_vertices(g, u, v)
     if u == v:
         raise InputError("twin check needs two distinct vertices")
     strip = ~(1 << u | 1 << v)
@@ -103,9 +105,9 @@ def find_adjacent_simplicial_twins(g: Graph) -> tuple[int, int] | None:
     is a clique gives the pair.
     """
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
-    for vs in _equal_row_groups(closed, g.full_mask):
-        if _is_clique_mask(g.adj, g.adj[vs[0]]):
-            return vs[0], vs[1]
+    for twins in _row_classes(closed, g.full_mask):
+        if twins & twins - 1 and _is_clique_mask(g.adj, closed[twins.bit_length() - 1]):
+            return _mask_to_tuple(twins)[:2]
     return None
 
 

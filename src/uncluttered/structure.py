@@ -41,6 +41,7 @@ from .graph import (
     _is_complete_mask,
     _is_stable_mask,
     _mask_to_tuple,
+    _row_classes,
     _sides,
     is_bipartite,
 )
@@ -255,18 +256,9 @@ def recognize_candelabrum(g: Graph) -> CandelabrumStructure | None:
     once, by least vertex, and each split is checked by _candelabrum_on.
     """
     adj, full = g.adj, g.full_mask
-    todo = full
-    while todo:
-        y = (todo & -todo).bit_length() - 1
-        closed = adj[y] | 1 << y
-        part = 0
-        m = closed
-        while m:
-            low = m & -m
-            if adj[low.bit_length() - 1] | low == closed:
-                part |= low
-            m ^= low
-        todo &= ~part
+    closed_rows = [row | 1 << v for v, row in enumerate(adj)]
+    for part in _row_classes(closed_rows, full):
+        closed = closed_rows[part.bit_length() - 1]
         stable = closed & ~part or 1 << (part.bit_length() - 1)
         z = (stable & -stable).bit_length() - 1
         st = _candelabrum_on(g, full, stable | (adj[z] & ~closed))

@@ -281,6 +281,28 @@ def naive_matching_number(g):
     return 0
 
 
+def naive_graph6(g):
+    """graph6 written from the format description (McKay, graph6 and sparse6
+    graph formats): N(n) is the byte n + 63 for n <= 62, else 126 and the 18
+    bits of n, six per byte, each plus 63; then the bits x(u,v) for
+    ``v in range(1, n)``, ``u in range(v)``, six per byte MSB-first, the last
+    group padded with zeros, each group plus 63."""
+    n = g.n
+    if n <= 62:
+        out = [n + 63]
+    else:
+        out = [126, (n >> 12) % 64 + 63, (n >> 6) % 64 + 63, n % 64 + 63]
+    bits = [1 if g.has_edge(u, v) else 0 for v in range(1, n) for u in range(v)]
+    while len(bits) % 6:
+        bits.append(0)
+    for i in range(0, len(bits), 6):
+        value = 0
+        for b in bits[i:i + 6]:
+            value = 2 * value + b
+        out.append(value + 63)
+    return "".join(chr(c) for c in out)
+
+
 def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)

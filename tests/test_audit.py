@@ -164,6 +164,19 @@ def test_audit_input_validation():
             U.audit(4, suites=suites, graphs=["Dhc"])
 
 
+
+def test_audit_rejects_a_non_int_n_max_and_a_bare_string():
+    for n_max in (True, False, 2.0, "4", None):
+        with pytest.raises(InputError, match="n_max must be an int"):
+            U.audit(n_max)
+        with pytest.raises(InputError, match="n_max must be an int"):
+            U.audit(n_max, graphs=["Dhc"])
+    # a string is not read character by character as graph6 lines
+    for graphs in ("@", "Dhc\nBg\n", ""):
+        with pytest.raises(InputError, match="not one string"):
+            U.audit(0, graphs=graphs)
+    assert U.audit(0, graphs=["@"]).graphs_scanned == 1
+
 # SHA-256 of audit(7).to_json(), all suites, taken before the audit ran on
 # decoded graphs and the chromatic oracle on colour-class masks.
 AUDIT_SEVEN_SHA256 = "eb13f2b2de61a247bcf560fb8a8ddeda8ada67026875294ecb16234b6e60d5e9"

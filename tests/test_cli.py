@@ -236,3 +236,20 @@ def test_readme_names_exactly_the_cli_long_options():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     named = set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
     assert named == defined
+
+
+def test_readme_examples_print_what_the_readme_shows(monkeypatch, capsys):
+    """Each `$ echo X | uncluttered CMD` followed by an output line must print
+    that line; a line ending in `...}}` gives only a prefix of the output."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = re.findall(r"^\$ echo (\S+) \| uncluttered (\w+).*\n([^$`\n].*)$",
+                          readme, re.MULTILINE)
+    assert len(examples) >= 3
+    for line, command, shown in examples:
+        code, out, err = run_cli(monkeypatch, capsys, [command], line + "\n")
+        assert code == 0 and err == ""
+        printed = out.rstrip("\n")
+        if shown.endswith("...}}"):
+            assert printed.startswith(shown[:-len("...}}")]), (line, command)
+        else:
+            assert printed == shown, (line, command)

@@ -61,6 +61,17 @@ def test_construction_rejects_bad_input():
     assert Graph(2, [(0, 1), (1, 0)]).edge_count() == 1
 
 
+def test_construction_rejects_malformed_edges():
+    for edge in ((0, 1.0), (0, "1"), (0, True), (False, 1), (0, None)):
+        with pytest.raises(InputError, match="endpoint must be an int"):
+            Graph(3, [edge])
+    for edge in ((0, 1, 2), (0,), 5, None):
+        with pytest.raises(InputError, match="not a pair"):
+            Graph(3, [edge])
+    # any pair of ints will do, not only a tuple
+    assert Graph(3, [[0, 1], iter((1, 2))]) == U.path_graph(3)
+
+
 def test_graphs_are_immutable():
     g = U.path_graph(3)
     with pytest.raises(AttributeError):

@@ -1,5 +1,7 @@
+import pytest
+
 import uncluttered as U
-from uncluttered import Graph
+from uncluttered import Graph, InputError
 from uncluttered.graph import _mask_to_tuple
 from uncluttered.modular import _closure_mask, _nonadjacent_twins_in, _simplicial_in
 
@@ -95,6 +97,19 @@ def test_simplicial_and_antisimplicial():
     assert U.find_simplicial_vertex(U.cycle_graph(5)) is None
     assert U.is_simplicial(U.complete_graph(3), 0)
     assert U.is_simplicial(U.edgeless_graph(3), 0)
+
+
+def test_vertex_arguments_are_range_checked():
+    """A negative index must not read another vertex's row."""
+    p4 = U.path_graph(4)
+    for v in (-1, 4, 9, True, 1.0):
+        with pytest.raises(InputError, match="out of range"):
+            U.is_simplicial(p4, v)
+    for u, v in ((0, 9), (-1, 2), (2, -1), (0, 4)):
+        with pytest.raises(InputError, match="out of range"):
+            U.are_twins(p4, u, v)
+    # the certificate verifier still turns bad payloads into False
+    assert not U.verify_certificate(p4, U.Certificate("SIMPLICIAL_TWINS", (-1, 3)))
 
 
 def test_twin_detection():
