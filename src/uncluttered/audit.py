@@ -16,7 +16,7 @@ import json
 import time
 
 from .census import MAX_CENSUS_N, enumerate_graphs
-from .chromatic import chromatic_number_exact, clique_number, color_uncluttered, is_proper_coloring
+from .chromatic import _color_member, chromatic_number_exact, clique_number, is_proper_coloring
 from .decompose import ALL_CASES, classify, verify_certificate
 from .errors import InputError, TheoremViolationError
 from .graph import MAX_VERTICES, Graph, _is_clique_mask, _mask_to_tuple
@@ -123,7 +123,8 @@ def audit_one(g: Graph, suites: tuple[str, ...]) -> dict:
 
     if "chi-bound" in suites and n <= SUITE_CAPS["chi-bound"] and uncl:
         record["checked"].append("chi-bound")
-        coloring = color_uncluttered(g)
+        # membership is already in the record, so colour without rechecking it
+        coloring = _color_member(g)
         # omega from the exact oracle, so the colorer's own figure is checked
         omega = clique_number(g)
         chi = chromatic_number_exact(g)

@@ -396,6 +396,11 @@ def color_uncluttered(g: Graph) -> Coloring:
     witness = is_uncluttered(g)
     if witness is not None:
         raise NotUnclutteredError(witness)
+    return _color_member(g)
+
+
+def _color_member(g: Graph) -> Coloring:
+    """color_uncluttered on a g already known to be uncluttered."""
     cols = [0] * g.n
     num, omega = _color_on(g, g.full_mask, cols, 0)
     return Coloring(tuple(cols), num, omega)

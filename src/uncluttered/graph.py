@@ -354,17 +354,21 @@ def complete_join(g: Graph, h: Graph) -> Graph:
 # -- isomorphism and canonical form ---------------------------------------
 
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(adj: tuple[int, ...], cells: list[int], fresh: list[int]) -> list[int]:
     """Coarsest equitable refinement of an ordered partition of all the
-    vertices into cell masks.
+    vertices into cell masks, given that each cell's members already have
+    equal neighbour counts in every cell outside ``fresh``.
 
-    Each round splits every cell by its members' neighbour counts in every
-    cell, the parts ordered by that count vector, until no cell splits.  The
-    order depends on the counts alone, so relabelling the graph relabels the
-    result cell by cell.
+    Each round splits every cell by its members' neighbour counts in the
+    fresh cells, the parts ordered by that count vector; the parts of the
+    cells that split are the next round's fresh cells, until no cell
+    splits.  The counts left out are equal within every cell, so the order
+    is the one that counts in every cell would give.  It depends on the
+    counts alone, so relabelling the graph relabels the result cell by cell.
     """
-    while len(cells) < len(adj):
+    while fresh and len(cells) < len(adj):
         out = []
+        split = []
         for cell in cells:
             if not cell & (cell - 1):
                 out.append(cell)
@@ -374,16 +378,16 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
             while m:
                 low = m & -m
                 row = adj[low.bit_length() - 1]
-                sig = tuple([(row & c).bit_count() for c in cells])
+                sig = tuple([(row & c).bit_count() for c in fresh])
                 parts[sig] = parts.get(sig, 0) | low
                 m ^= low
             if len(parts) == 1:
                 out.append(cell)
             else:
-                out += [parts[sig] for sig in sorted(parts)]
-        if len(out) == len(cells):
-            break
-        cells = out
+                new = [parts[sig] for sig in sorted(parts)]
+                out += new
+                split += new
+        cells, fresh = out, split
     return cells
 
 
@@ -441,12 +445,15 @@ def _leaf(adj: tuple[int, ...], cells: list[int], path: list[int], found: list) 
     return len(path)
 
 
-def _least_leaf(adj: tuple[int, ...], cells: list[int], path: list[int],
-                found: list) -> int:
+def _least_leaf(adj: tuple[int, ...], cells: list[int], fresh: list[int],
+                path: list[int], found: list) -> int:
     """Search the leaves below ``cells``, reached by individualizing the
     vertices of ``path``, into ``found`` (see ``_leaf``); return the depth at
     which the search resumes, ``len(path)`` unless an automorphism sends it
-    back further.
+    back further.  ``fresh`` holds the cells that ``_refine`` must count
+    against first: all of them at the root, and below it the two cells of
+    the last individualization, which split one cell of an equitable
+    partition.
 
     The children individualize the vertices of the first non-singleton
     cell in turn.  A vertex is skipped when it has the same open or closed
@@ -456,7 +463,7 @@ def _least_leaf(adj: tuple[int, ...], cells: list[int], path: list[int],
     Either way its subtree is an automorphic image of one explored, with
     the same leaves.
     """
-    cells = _refine(adj, cells)
+    cells = _refine(adj, cells, fresh)
     for i, cell in enumerate(cells):
         if cell & (cell - 1):
             break
@@ -479,7 +486,8 @@ def _least_leaf(adj: tuple[int, ...], cells: list[int], path: list[int],
         tried.add(row)
         tried.add(row | low)
         path.append(low.bit_length() - 1)
-        back = _least_leaf(adj, head + [low, cell ^ low] + tail, path, found)
+        pair = [low, cell ^ low]
+        back = _least_leaf(adj, head + pair + tail, pair, path, found)
         path.pop()
         if back < depth:
             return back
@@ -509,7 +517,8 @@ def invariant_key(g: Graph) -> tuple[int, ...]:
 def _search(g: Graph) -> list:
     """Run the canonical search on g; return its ``found`` (see ``_leaf``)."""
     found = [None, None, []]
-    _least_leaf(g.adj, [g.full_mask] if g.n else [], [], found)
+    cells = [g.full_mask] if g.n else []
+    _least_leaf(g.adj, cells, cells, [], found)
     return found
 
 

@@ -9,17 +9,20 @@ decides unclutteredness.
 The fork and the antifork are both connected and co-connected, so every
 one of them lies inside a part of g that is connected and co-connected:
 split g into components, those into anticomponents, and so on down.
-Membership runs one bitset fork search and one bitset antifork search, both
-polynomial in n, on each such part with at least five vertices, reading the
+Membership works on each such part with at least five vertices, reading the
 part's rows in whichever of g and its complement has fewer edges within the
 part: the class is closed under complementation, because a fork of the
-complement is an antifork of g.  So neither search walks a dense part, and
-no complement of g is built.  The searches skip every vertex whose
-neighbourhood has no room for the pattern: a fork's centre needs three
-pairwise nonadjacent neighbours, and an antifork's diamond spine x~y needs
-an induced path of length two inside N(x).  Line graphs are claw-free, and
-line graphs of triangle-free graphs are also diamond-free (Beineke 1970),
-so on those shapes the skips leave little to search.
+complement is an antifork of g.  So nothing walks a dense part, and no
+complement of g is built.  One pass over the part's neighbourhoods finds its
+crowded vertices, those whose neighbourhood is not a disjoint union of at
+most two cliques.  Only they can anchor a pattern: a fork's centre has three
+pairwise nonadjacent neighbours, and each end of an antifork's diamond
+spine sees an induced path of length two.  A part with no crowded vertex is
+a member at once; otherwise one bitset fork search, over the crowded
+centres, and one bitset antifork search, over the crowded spines, decide
+it, both polynomial in n.  Line graphs of triangle-free graphs are
+claw-free and diamond-free (Beineke 1970), and every neighbourhood in them
+is two anticomplete cliques, so on those shapes nothing is searched.
 
 Only a non-member pays for the ascending scan over 5-vertex subsets, and
 only in the parts whose searches hit; the least of their first witnesses
@@ -51,16 +54,17 @@ _EDGES = {
     "triangle": (3, [(0, 1), (0, 2), (1, 2)]),
 }
 _COMPLEMENTS = {"antifork": "fork", "anticlaw": "claw", "antinet": "net"}
+_PATTERNS = {name: Graph(n, edges) for name, (n, edges) in _EDGES.items()}
+_PATTERNS |= {name: _PATTERNS[of].complement() for name, of in _COMPLEMENTS.items()}
 
 
 def pattern(name: str) -> Graph:
-    """Canonical copy of a named pattern graph."""
-    if name in _EDGES:
-        n, edges = _EDGES[name]
-        return Graph(n, edges)
-    if name in _COMPLEMENTS:
-        return pattern(_COMPLEMENTS[name]).complement()
-    raise InputError(f"unknown pattern name {name!r}")
+    """The named pattern graph: one shared immutable Graph per name, built
+    at import."""
+    g = _PATTERNS.get(name)
+    if g is None:
+        raise InputError(f"unknown pattern name {name!r}")
+    return g
 
 
 class PatternWitness:
@@ -141,79 +145,91 @@ def has_induced(g: Graph, name: str) -> bool:
     return find_induced(pattern(name), g, name) is not None
 
 
-def _has_fork(adj: tuple[int, ...]) -> bool:
-    """True iff the graph with these adjacency rows has an induced fork.
+def _crowded(rows: tuple[int, ...] | list[int], part: int) -> int:
+    """The vertices of ``part`` whose neighbourhood is not a disjoint union
+    of at most two cliques, in one walk over each N(v).
+
+    With u the least vertex of N(v), N(v) is such a union exactly when each
+    of its vertices has, within N(v), the closed neighbourhood of its own
+    side: N(v) & N[u], or the rest of N(v).  That holds for u by
+    definition, and for every N(v) of at most two vertices.  A fork's
+    centre is a claw's centre, with three pairwise nonadjacent neighbours,
+    and each end of an antifork's diamond spine x~y sees the other end's
+    two nonadjacent common neighbours, so every one of them is crowded.
+    """
+    crowded = 0
+    m = part
+    while m:
+        low_v = m & -m
+        m ^= low_v
+        nv = rows[low_v.bit_length() - 1]
+        rest = nv & (nv - 1)
+        if not rest & (rest - 1):
+            continue
+        low = nv & -nv
+        near = nv & rows[low.bit_length() - 1] | low
+        far = nv ^ near
+        w = rest
+        while w:
+            low = w & -w
+            w ^= low
+            if rows[low.bit_length() - 1] & nv | low != (near if low & near else far):
+                crowded |= low_v
+                break
+    return crowded
+
+
+def _has_fork(rows: tuple[int, ...] | list[int], centres: int) -> bool:
+    """True iff the graph with these adjacency rows has an induced fork
+    whose centre is in the mask ``centres``.
 
     A fork is a centre b with an inner leaf c, a tail d on c, and two outer
     leaves.  For c in N(b), the outer leaves must come from A = N(b) - N[c];
     for d in N(c) - N[b] they must also miss d, so a fork exists iff some
     A - N(d) holds two nonadjacent vertices.
-
-    A centre b is skipped when N(b) is the union of the two cliques
-    N(b) & N[u] and N(b) - N[u], u the least vertex of N(b): any three
-    vertices of N(b) then have two in one clique, so b is no claw's centre.
     """
-    for b, nb in enumerate(adj):
-        if not nb:
-            continue
-        low_u = nb & -nb
-        near = nb & adj[low_u.bit_length() - 1] | low_u
-        if _is_clique_mask(adj, near) and _is_clique_mask(adj, nb & ~near):
-            continue
+    while centres:
+        low_b = centres & -centres
+        centres ^= low_b
+        nb = rows[low_b.bit_length() - 1]
         cs = nb
         while cs:
             low_c = cs & -cs
             cs ^= low_c
-            rc = adj[low_c.bit_length() - 1]
+            rc = rows[low_c.bit_length() - 1]
             outer = nb & ~rc & ~low_c
-            if not outer & (outer - 1) or _is_clique_mask(adj, outer):
+            if not outer & (outer - 1) or _is_clique_mask(rows, outer):
                 continue
-            tails = rc & ~nb & ~(1 << b)
+            tails = rc & ~nb & ~low_b
             while tails:
                 low_d = tails & -tails
                 tails ^= low_d
-                s = outer & ~adj[low_d.bit_length() - 1]
-                if s & (s - 1) and not _is_clique_mask(adj, s):
+                s = outer & ~rows[low_d.bit_length() - 1]
+                if s & (s - 1) and not _is_clique_mask(rows, s):
                     return True
     return False
 
 
-def _is_cluster_mask(adj: tuple[int, ...], mask: int) -> bool:
-    """True iff the vertices of mask induce a disjoint union of cliques:
-    every vertex's closed neighbourhood within mask is its own class."""
-    left = mask
-    while left:
-        low = left & -left
-        cls = (adj[low.bit_length() - 1] | low) & mask
-        m = cls ^ low
-        while m:
-            low = m & -m
-            if (adj[low.bit_length() - 1] | low) & mask != cls:
-                return False
-            m ^= low
-        left &= ~cls
-    return True
-
-
-def _has_antifork(adj: tuple[int, ...]) -> bool:
-    """True iff the graph with these adjacency rows has an induced antifork.
+def _has_antifork(rows: tuple[int, ...] | list[int], spines: int) -> bool:
+    """True iff the graph with these adjacency rows has an induced antifork
+    whose diamond spine has both ends in the mask ``spines``.
 
     An antifork is a diamond plus a pendant: an edge x~y, two nonadjacent
     common neighbours d and c of x and y, and a vertex b adjacent to d alone.
     For d in C = N(x) & N(y) the tips c come from C - N[d], and b from
     N(d) - (N(x) | N(y)); an antifork exists iff some such b misses some c.
-
-    An x is skipped when N(x) induces a disjoint union of cliques: each
-    spine x~y needs the induced path c-y-d inside N(x).
     """
-    for x, nx in enumerate(adj):
-        if _is_cluster_mask(adj, nx):
-            continue
-        ys = nx >> x + 1 << x + 1
+    xs = spines
+    while xs:
+        low_x = xs & -xs
+        xs ^= low_x
+        x = low_x.bit_length() - 1
+        nx = rows[x]
+        ys = nx & spines >> x + 1 << x + 1
         while ys:
             low_y = ys & -ys
             ys ^= low_y
-            ny = adj[low_y.bit_length() - 1]
+            ny = rows[low_y.bit_length() - 1]
             common = nx & ny
             if not common & (common - 1):
                 continue
@@ -222,7 +238,7 @@ def _has_antifork(adj: tuple[int, ...]) -> bool:
             while ds:
                 low_d = ds & -ds
                 ds ^= low_d
-                nd = adj[low_d.bit_length() - 1]
+                nd = rows[low_d.bit_length() - 1]
                 tips = common & ~nd & ~low_d
                 if not tips:
                     continue
@@ -235,7 +251,7 @@ def _has_antifork(adj: tuple[int, ...]) -> bool:
                 while walk:
                     low = walk & -walk
                     walk ^= low
-                    if other & ~adj[low.bit_length() - 1]:
+                    if other & ~rows[low.bit_length() - 1]:
                         return True
     return False
 
@@ -309,21 +325,22 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
 
     The fork and the antifork are connected and co-connected, so each one
     lies inside a part of g that is connected and co-connected: split g
-    into components, those into anticomponents, and so on down.  Membership
-    is one fork search and one antifork search on each part with at least
-    five vertices.  A part with k vertices is searched on the rows of g
-    within it, or on the complement's rows within it when it has more than
-    k(k-1)/4 edges; since a fork of the complement is an antifork of g, the
-    two decide the same question, and no complement of g is built.  Both
-    searches skip the vertices whose neighbourhoods cannot hold a claw or
-    an induced path of length two, which a fork's centre and an antifork's
-    spine need.  Only a
-    non-member pays for the witness scan, and only in the parts that hold a
-    fork or antifork: the witness comes from the first 5-subset, in
-    ascending order, whose sorted in-subset degrees are a fork's or an
-    antifork's, least over those parts, so it is deterministic; the
-    embedding is read off the fork's roles (in the complement within the
-    subset for an antifork) and is the least one.
+    into components, those into anticomponents, and so on down.  A part
+    with k >= 5 vertices is decided on the rows of g within it, or on the
+    complement's rows within it when it has more than k(k-1)/4 edges;
+    since a fork of the complement is an antifork of g, the two decide the
+    same question, and no complement of g is built.  One pass finds the
+    part's crowded vertices, whose neighbourhoods are not a disjoint union
+    of at most two cliques.  A part without any is a member; otherwise one
+    fork search over the crowded centres and one antifork search over the
+    crowded spines decide it, since a fork's centre and both ends of an
+    antifork's diamond spine are crowded.  Only a non-member pays for the
+    witness scan, and only in the parts that hold a fork or antifork: the
+    witness comes from the first 5-subset, in ascending order, whose sorted
+    in-subset degrees are a fork's or an antifork's, least over those
+    parts, so it is deterministic; the embedding is read off the fork's
+    roles (in the complement within the subset for an antifork) and is the
+    least one.
     """
     if g.n < 5:
         return None
@@ -339,7 +356,8 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
         if 2 * sum(r.bit_count() for r in rows) > k * (k - 1):
             rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
                     for v, r in enumerate(rows)]
-        if _has_fork(rows) or _has_antifork(rows):
+        crowded = _crowded(rows, part)
+        if crowded and (_has_fork(rows, crowded) or _has_antifork(rows, crowded)):
             found = _least_witness(adj, part)
             if best is None or found[0] < best[0]:
                 best = found

@@ -12,12 +12,13 @@ Their line graphs are exactly the graphs with no induced claw and no induced
 diamond, and on those the Krausz cliques K(u,v) = {u, v} + (N(u) & N(v))
 partition the edges with every vertex in at most two of them.  Recognition
 collects each vertex's cliques K(w,v), numbers the distinct ones as root
-vertices (Krausz 1943; Roussopoulos 1973) and keeps the root only if it is
-triangle-free and verify_root maps g onto its line graph, so every root
-returned proves its own claim.  line_graph and verify_root share one kernel:
-each root vertex holds an incidence mask of its edges, and an edge's row is
-the OR of its two endpoints' masks.  The test suite checks that the roots
-appear exactly on the claw- and diamond-free graphs.
+vertices in the order first met, which on a line graph is their
+lexicographic order (Krausz 1943; Roussopoulos 1973), and keeps the root
+only if it is triangle-free and verify_root maps g onto its line graph, so
+every root returned proves its own claim.  line_graph and verify_root share
+one kernel: each root vertex holds an incidence mask of its edges, and an
+edge's row is the OR of its two endpoints' masks.  The test suite checks
+that the roots appear exactly on the claw- and diamond-free graphs.
 
 A candelabrum is forced by any one clique-part vertex, so recognition builds
 one split per closed-twin class and checks each.  Candelabrum and candled
@@ -110,12 +111,12 @@ def verify_root(g: Graph, rg: RootGraph) -> bool:
     root, edge_map = rg.root, rg.edge_map
     if len(edge_map) != g.n:
         return False
-    seen = set()
+    rows, n = root.adj, root.n
     for a, b in edge_map:
-        if not (0 <= a < b < root.n) or not root.has_edge(a, b) or (a, b) in seen:
+        if not (0 <= a < b < n and rows[a] >> b & 1):
             return False
-        seen.add((a, b))
-    return root.edge_count() == g.n and tuple(_line_rows(edge_map, root.n)) == g.adj
+    return (len(set(map(tuple, edge_map))) == g.n and root.edge_count() == g.n
+            and tuple(_line_rows(edge_map, n)) == g.adj)
 
 
 def _is_triangle_free_root(g: Graph, rg: RootGraph) -> bool:
@@ -129,34 +130,39 @@ def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
     Returns None iff g is not the line graph of any triangle-free graph.
     Each host vertex w collects its Krausz cliques K(w,v) = {w, v} +
     (N(w) & N(v)), one per neighbour v outside those already found, and a
-    third clique rejects g at once.  The distinct cliques, in sorted order,
-    are the first root vertices; a vertex in one clique gets a pendant root
-    vertex and an isolated vertex a private root edge.  The root is kept
+    third clique rejects g at once.  Each distinct clique is numbered when
+    first met; these are the first root vertices, and a vertex in one
+    clique gets a pendant root vertex and an isolated vertex a private root
+    edge.  On a line graph of a triangle-free root each clique is first met
+    at its least vertex, and two cliques met at one vertex in order of
+    their second vertex, so the numbers follow the lexicographic order of
+    the cliques and each vertex's two numbers ascend.  The root is kept
     only if it is triangle-free and verify_root accepts it, which also
-    rejects two host vertices on one root edge.
+    rejects two host vertices on one root edge and any other input.
     """
     adj = g.adj
+    number: dict[int, int] = {}
     cover: list[list[int]] = []
     for w in range(g.n):
-        mine: list[int] = []
-        m = adj[w]
+        row = adj[w]
+        ends: list[int] = []
+        m = row
         while m:
-            v = (m & -m).bit_length() - 1
-            if len(mine) == 2:
+            if len(ends) == 2:
                 return None
-            clique = 1 << w | 1 << v | (adj[w] & adj[v])
-            mine.append(clique)
+            low = m & -m
+            clique = row & adj[low.bit_length() - 1] | low | 1 << w
+            ends.append(number.setdefault(clique, len(number)))
             m &= ~clique
-        cover.append(mine)
-    cliques = sorted({c for mine in cover for c in mine}, key=_mask_to_tuple)
-    number = {c: i for i, c in enumerate(cliques)}
+        cover.append(ends)
     # Root vertices: one per clique, then pendants and isolated-edge ends.
     # A root may exceed the host's 64-vertex cap (a path on 64 vertices has
     # a 65-vertex root), so its rows are built here and wrapped directly.
-    next_vertex = len(cliques)
+    # The rows and the edge-map tuple are made at their final sizes: growing
+    # them in place raised a long run's peak RSS in step with its calls.
+    next_vertex = len(number)
     edge_map: list[tuple[int, ...]] = []
-    for mine in cover:
-        ends = sorted(number[c] for c in mine)
+    for ends in cover:
         while len(ends) < 2:
             ends.append(next_vertex)
             next_vertex += 1

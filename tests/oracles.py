@@ -7,7 +7,7 @@ function and an oracle disagree, the oracle wins and the package is wrong.
 
 from itertools import combinations, permutations
 
-from uncluttered import CandelabrumStructure, CandledDecomposition, Graph
+from uncluttered import CandelabrumStructure, CandledDecomposition, Graph, RootGraph
 from uncluttered.graph import invariant_key
 
 
@@ -136,6 +136,55 @@ def naive_components(g, vs):
 def naive_triangle_free(g):
     return all(not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c))
                for a, b, c in combinations(range(g.n), 3))
+
+
+def sorted_krausz_root(g):
+    """The triangle-free root of g, with its Krausz cliques numbered in the
+    sorted order of their vertex tuples and each host vertex's two root
+    vertices in ascending order, or None when g is no such line graph.
+
+    Each vertex w takes the cliques {w, v} + (N(w) & N(v)), v its least
+    neighbour outside those already taken, and a third one rejects g.  A
+    vertex in one clique gets a new pendant root vertex, an isolated vertex
+    two, in vertex order.  The root is kept only if its edges are distinct,
+    no edge closes a triangle, and two host vertices are adjacent exactly
+    when their root edges share an end.
+    """
+    nbrs = [set(g.neighbors(w)) for w in range(g.n)]
+    cover = []
+    for w in range(g.n):
+        mine = []
+        left = set(nbrs[w])
+        while left:
+            if len(mine) == 2:
+                return None
+            v = min(left)
+            clique = frozenset({w, v} | (nbrs[w] & nbrs[v]))
+            mine.append(clique)
+            left -= clique
+        cover.append(mine)
+    cliques = sorted({c for mine in cover for c in mine}, key=sorted)
+    number = {c: i for i, c in enumerate(cliques)}
+    next_vertex = len(cliques)
+    edge_map = []
+    for mine in cover:
+        ends = sorted(number[c] for c in mine)
+        while len(ends) < 2:
+            ends.append(next_vertex)
+            next_vertex += 1
+        edge_map.append(tuple(ends))
+    if len(set(edge_map)) != g.n:
+        return None
+    rows = [0] * next_vertex
+    for a, b in edge_map:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    if any(rows[a] & rows[b] for a, b in edge_map):
+        return None
+    for w, x in combinations(range(g.n), 2):
+        if g.has_edge(w, x) != bool(set(edge_map[w]) & set(edge_map[x])):
+            return None
+    return RootGraph(Graph.from_rows(tuple(rows)), tuple(edge_map))
 
 
 def _single_edge_extensions(g):

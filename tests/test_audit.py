@@ -63,6 +63,23 @@ def test_audit_one_reads_membership_off_the_certificate(monkeypatch):
     assert len(calls) == 2
 
 
+def test_chi_bound_colours_without_a_second_membership_check(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return U.is_uncluttered(g)
+
+    monkeypatch.setattr(U.chromatic, "is_uncluttered", counting)
+    for suites in (ALL_SUITES, ("chi-bound",)):
+        rec = audit_one(DHC, suites)
+        assert "chi-bound" in rec["checked"] and rec["fails"] == []
+    assert calls == []
+    # the public colourer still checks its input
+    U.color_uncluttered(DHC)
+    assert calls == [DHC]
+
+
 def test_audit_four_report_is_byte_frozen():
     r = U.audit(4)
     assert not r.failed

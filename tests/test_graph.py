@@ -401,7 +401,7 @@ def test_keys_of_symmetric_graphs_where_refinement_does_nothing(rng):
     }
     keys = {}
     for name, g in graphs.items():
-        assert _refine(g.adj, [g.full_mask]) == [g.full_mask], name
+        assert _refine(g.adj, [g.full_mask], [g.full_mask]) == [g.full_mask], name
         h = _relabel(rng, g)
         keys[name] = invariant_key(g)
         assert invariant_key(h) == keys[name], name

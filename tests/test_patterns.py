@@ -6,7 +6,7 @@ import uncluttered as U
 from uncluttered import Graph, InputError
 import uncluttered.patterns as P
 from uncluttered.graph import _mask_to_tuple
-from uncluttered.patterns import _has_antifork, _has_fork
+from uncluttered.patterns import _crowded, _has_antifork, _has_fork
 
 from oracles import (
     compose_candled,
@@ -136,6 +136,20 @@ def _agrees_with_subset_scan(g):
     return w is None
 
 
+def _kernels_agree_with_has_induced(g):
+    """Each kernel alone decides its pattern on g, over the crowded
+    vertices and over every vertex; the fork search on the complement
+    decides the antifork."""
+    fork = U.has_induced(g, "fork")
+    antifork = U.has_induced(g, "antifork")
+    gc = g.complement()
+    for mask in (_crowded(g.adj, g.full_mask), g.full_mask):
+        assert _has_fork(g.adj, mask) == fork, U.to_graph6(g)
+        assert _has_antifork(g.adj, mask) == antifork, U.to_graph6(g)
+    for mask in (_crowded(gc.adj, gc.full_mask), gc.full_mask):
+        assert _has_fork(gc.adj, mask) == antifork, U.to_graph6(g)
+
+
 def test_uncluttered_agrees_with_subset_scan_on_every_labelled_five_vertex_graph():
     """Every labelled graph on five vertices, so every assignment of the
     fork's and the antifork's roles to vertex labels is met."""
@@ -143,8 +157,7 @@ def test_uncluttered_agrees_with_subset_scan_on_every_labelled_five_vertex_graph
     forks = antiforks = 0
     for mask in range(1 << len(pairs)):
         g = Graph(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
-        assert (_has_antifork(g.adj) == U.has_induced(g, "antifork")
-                == _has_fork(g.complement().adj)), mask
+        _kernels_agree_with_has_induced(g)
         if not _agrees_with_subset_scan(g):
             name = U.is_uncluttered(g).pattern_name
             forks += name == "fork"
@@ -169,9 +182,7 @@ def test_uncluttered_agrees_with_subset_scan_on_the_census(census):
             _agrees_with_subset_scan(g)
             # a false positive of the bitset search would only cost a scan,
             # so check it on its own as well
-            assert _has_fork(g.adj) == U.has_induced(g, "fork"), U.to_graph6(g)
-            assert (_has_antifork(g.adj) == U.has_induced(g, "antifork")
-                    == _has_fork(g.complement().adj)), U.to_graph6(g)
+            _kernels_agree_with_has_induced(g)
 
 
 def _line_graph_member(rng, m):
@@ -219,13 +230,15 @@ def _connected_line_member(rng, max_n):
 
 
 def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
-    """Both bitset searches run once on each connected, co-connected part
-    with at least five vertices, on the part's rows in whichever of g and
-    its complement has fewer edges within the part, and no complement of g
+    """The crowded pass runs once on each connected, co-connected part with
+    at least five vertices, on the part's rows in whichever of g and its
+    complement has fewer edges within the part, both bitset searches run on
+    those rows over its mask when it is not empty, and no complement of g
     is built.  A k = 1 candled member, Z joined to K_Y plus L(H), is
     searched on its L(H) part alone; a small sparse member beside the
     complement of a line graph is sparse as a whole, but its dense part is
-    searched on the complement's rows."""
+    searched on the complement's rows.  The last member has claw centres,
+    so the searches run on it."""
     line = _line_graph_member(rng, 40)
     assert line.n >= 32
     cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
@@ -238,37 +251,48 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     small = _line_graph_member(rng, 11)
     beside = _shuffled(rng, U.disjoint_union(small, _connected_line_member(rng, 28).complement()))
     assert 4 * beside.edge_count() <= beside.n * (beside.n - 1)
-    seen = {"fork": [], "antifork": []}
+    passes = []  # (part, rows, crowded mask) of each crowded pass
+    searched = []  # (pass index, kernel) of each search
     complements = []
     complement = Graph.complement
 
+    def recording_crowded(rows, part):
+        k = part.bit_count()
+        assert 2 * sum(r.bit_count() for r in rows) <= k * (k - 1)
+        mask = _crowded(rows, part)
+        passes.append((part, list(rows), mask))
+        return mask
+
     def recording(name, search):
-        def wrapped(rows):
-            part = sum(1 << v for v, r in enumerate(rows) if r)
-            k = part.bit_count()
-            assert 2 * sum(r.bit_count() for r in rows) <= k * (k - 1)
-            seen[name].append((part, list(rows)))
-            return search(rows)
+        def wrapped(rows, mask):
+            _, last_rows, crowded = passes[-1]
+            assert list(rows) == last_rows and mask == crowded != 0
+            searched.append((len(passes) - 1, name))
+            return search(rows, mask)
         return wrapped
 
     def counted_complement(self):
         complements.append(self.n)
         return complement(self)
 
-    inputs = [line, line.complement(), candled, candled1, beside]
+    # a 4-cycle with a pendant on two adjacent vertices, both claw centres
+    clawed = Graph(6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 5)])
+    inputs = [line, line.complement(), candled, candled1, beside, clawed]
+    monkeypatch.setattr(P, "_crowded", recording_crowded)
     monkeypatch.setattr(P, "_has_fork", recording("fork", _has_fork))
     monkeypatch.setattr(P, "_has_antifork", recording("antifork", _has_antifork))
     monkeypatch.setattr(Graph, "complement", counted_complement)
-    sparse = 0
+    sparse = searches = 0
     for g in inputs:
-        for calls in seen.values():
-            calls.clear()
-        assert U.is_uncluttered(g) is None
-        searched = seen["fork"]
-        assert sorted(seen["antifork"]) == sorted(searched) and searched
-        parts = [part for part, _ in searched]
+        passes.clear()
+        searched.clear()
+        assert U.is_uncluttered(g) is None and passes
+        assert searched == [(i, name) for i, (_, _, mask) in enumerate(passes) if mask
+                            for name in ("fork", "antifork")]
+        searches += len(searched)
+        parts = [part for part, _, _ in passes]
         covered = 0
-        for part, rows in searched:
+        for part, rows, _ in passes:
             assert not covered & part
             covered |= part
             h = g.induced(_mask_to_tuple(part))
@@ -283,6 +307,7 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
             assert parts == [lh_part]
     assert complements == []
     assert 0 < sparse < len(inputs)
+    assert searches
 
 
 def test_uncluttered_agrees_with_subset_scan_on_mixed_density_compositions(rng):
@@ -307,9 +332,10 @@ def test_uncluttered_agrees_with_subset_scan_on_mixed_density_compositions(rng):
 
 
 def test_kernels_agree_with_has_induced_on_relabelled_census(census, rng):
-    """The searches skip a vertex by looking at its least neighbour, so each
-    census graph with six or seven vertices, and its complement, is checked
-    under three relabellings."""
+    """The crowded pass reads each neighbourhood from its least vertex, so
+    each census graph with six or seven vertices, and its complement, is
+    checked under three relabellings, over the crowded vertices and over
+    every vertex."""
     for n in (6, 7):
         for g in census[n]:
             for h in (g, g.complement()):
@@ -317,8 +343,9 @@ def test_kernels_agree_with_has_induced_on_relabelled_census(census, rng):
                 antifork = U.has_induced(h, "antifork")
                 for _ in range(3):
                     s = _shuffled(rng, h)
-                    assert _has_fork(s.adj) == fork, U.to_graph6(s)
-                    assert _has_antifork(s.adj) == antifork, U.to_graph6(s)
+                    for mask in (_crowded(s.adj, s.full_mask), s.full_mask):
+                        assert _has_fork(s.adj, mask) == fork, U.to_graph6(s)
+                        assert _has_antifork(s.adj, mask) == antifork, U.to_graph6(s)
 
 
 def _claw_centres(g):
@@ -333,12 +360,42 @@ def _diamond_spines(g):
                    for a, b in combinations(_mask_to_tuple(g.adj[u] & g.adj[v]), 2))}
 
 
+def test_crowded_marks_every_claw_centre_and_diamond_spine(census):
+    """A neighbourhood that is not a disjoint union of at most two cliques
+    holds three pairwise nonadjacent vertices or an induced path of length
+    two, so the crowded vertices are exactly the claw centres and the ends
+    of the diamond spines."""
+    for n in (6, 7):
+        for g in census[n]:
+            for h in (g, g.complement()):
+                want = _claw_centres(h)
+                for u, v in _diamond_spines(h):
+                    want |= {u, v}
+                assert _crowded(h.adj, h.full_mask) == sum(1 << v for v in want), \
+                    U.to_graph6(h)
+
+
+def test_crowded_is_empty_on_line_graphs_of_triangle_free_roots(rng):
+    """Every neighbourhood in such a line graph is two anticomplete cliques,
+    the other edges at each end of the root edge; so membership searches
+    nothing on it, nor on its complement, whose denser rows it reads
+    complemented."""
+    for m in (5, 8, 16, 24, 40, 64):
+        for _ in range(5):
+            g = _shuffled(rng, _line_graph_member(rng, m))
+            assert _crowded(g.adj, g.full_mask) == 0, U.to_graph6(g)
+            c = g.complement()
+            rows = [c.full_mask & ~r & ~(1 << v) for v, r in enumerate(c.adj)]
+            assert _crowded(rows, c.full_mask) == 0, U.to_graph6(c)
+
+
 def test_kernel_skips_keep_a_pattern_one_vertex_past_them(rng):
     """A fork whose centre b, the only claw centre, has a neighbourhood of
     two cliques plus one vertex; and an antifork whose spine x~y, the only
     diamond spine, has N(x) a disjoint union of cliques but for one induced
-    path c-y-d.  Each is found under every sampled relabelling, whichever
-    neighbour is least."""
+    path c-y-d.  Under every sampled relabelling, whichever neighbour is
+    least, the crowded pass marks b alone, or x and y alone, and the
+    kernel over that mask finds the pattern."""
     b, c, c2, l1, l12, l2, d = range(7)
     fork = Graph(7, [(b, c), (b, c2), (b, l1), (b, l12), (b, l2),
                      (c, c2), (l1, l12), (c, d)])
@@ -347,9 +404,14 @@ def test_kernel_skips_keep_a_pattern_one_vertex_past_them(rng):
     antifork = Graph(8, [(x, y), (x, c), (x, d), (y, c), (y, d), (d, pendant),
                          (x, p), (x, q), (p, q), (x, r)])
     assert _diamond_spines(antifork) == {(x, y)}
-    for _ in range(200):
-        assert _has_fork(_shuffled(rng, fork).adj)
-        assert _has_antifork(_shuffled(rng, antifork).adj)
+    for g, anchors, search in ((fork, (b,), _has_fork), (antifork, (x, y), _has_antifork)):
+        for _ in range(200):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            s = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            crowded = _crowded(s.adj, s.full_mask)
+            assert crowded == sum(1 << perm[v] for v in anchors), U.to_graph6(s)
+            assert search(s.adj, crowded), U.to_graph6(s)
 
 
 def _shuffled(rng, g):

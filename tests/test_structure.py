@@ -15,6 +15,7 @@ from oracles import (
     oracle_is_candelabrum,
     random_candelabrum,
     random_connected_triangle_free,
+    sorted_krausz_root,
     triangle_free_rootless_by_edges,
 )
 
@@ -95,6 +96,37 @@ def test_recognizer_round_trips_random_roots(rng):
         assert U.verify_root(host, rg)
         assert U.is_triangle_free(rg.root) is None
         assert U.are_isomorphic(U.line_graph(rg.root), host)
+
+
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def test_recognizer_numbers_cliques_as_sorting_them_does(rng):
+    """Relabelled line graphs of random triangle-free roots with up to 64
+    vertices, a third of them with one vertex pair toggled and a third
+    with an isolated vertex added, and their complements: numbering each
+    Krausz clique when first met gives the root and edge map that numbering
+    them in sorted order gives, and the same rejections."""
+    accepted = 0
+    for _ in range(2000):
+        root = random_connected_triangle_free(rng, rng.randint(2, 24))
+        edges = root.edges()
+        m = rng.randint(1, min(64, len(edges)))
+        g = _relabelled(rng, U.line_graph(Graph(root.n, rng.sample(edges, m))))
+        kind = rng.randrange(3)
+        if kind == 1 and g.n >= 2:
+            u, v = rng.sample(range(g.n), 2)
+            g = Graph(g.n, set(g.edges()) ^ {(min(u, v), max(u, v))})
+        elif kind == 2 and g.n < 64:
+            g = _relabelled(rng, Graph(g.n + 1, g.edges()))
+        for h in (g, g.complement()):
+            rg = U.recognize_line_graph_triangle_free(h)
+            assert rg == sorted_krausz_root(h), U.to_graph6(h)
+            accepted += rg is not None
+    assert accepted >= 1000, accepted
 
 
 def test_recognizer_matches_exhaustive_root_enumeration():
