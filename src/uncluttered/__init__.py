@@ -46,13 +46,10 @@ from .graph import (
 )
 from .graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from .modular import (
-    HomogeneousSet,
-    are_twins,
     find_adjacent_simplicial_twins,
     find_nonadjacent_twins,
     find_nontrivial_homogeneous_set,
     find_simplicial_vertex,
-    is_simplicial,
 )
 from .patterns import (
     PATTERN_NAMES,

@@ -236,11 +236,10 @@ def _cover_colors(root: Graph, edge_map) -> list[int]:
     """Raw cover colors for host vertices mapped onto root edges.
 
     A greedy maximal matching's endpoints cover every root edge; each mapped
-    edge takes the index of its smallest covered endpoint.
+    edge a < b takes its smallest matched endpoint, a if matched, else b.
     """
     matched = _greedy_matching(root.adj)[1]
-    index = {v: i for i, v in enumerate(_mask_to_tuple(matched))}
-    return [index[a] if matched >> a & 1 else index[b] for a, b in edge_map]
+    return [a if matched >> a & 1 else b for a, b in edge_map]
 
 
 def _max_matching(rows: tuple[int, ...]) -> int:

@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError, NotUnclutteredError, TheoremViolationError
-from .graph import Graph, _component_masks, _mask_to_tuple
+from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
 from .graphio import to_graph6
-from .modular import are_twins, find_adjacent_simplicial_twins, is_simplicial
-from .patterns import PatternWitness, is_uncluttered, pattern
+from .modular import find_adjacent_simplicial_twins
+from .patterns import PatternWitness, is_uncluttered
 from .structure import (
     CandelabrumStructure,
     CandledDecomposition,
@@ -107,13 +107,9 @@ def _verify(g: Graph, cert: Certificate) -> bool:
     case = cert.case
     payload = cert.payload
     if case == "NOT_UNCLUTTERED":
-        if not isinstance(payload, PatternWitness):
-            return False
-        if payload.pattern_name not in ("fork", "antifork"):
-            return False
-        if payload.pattern != pattern(payload.pattern_name):
-            return False
-        return payload.holds_in(g)
+        return (isinstance(payload, PatternWitness)
+                and payload.pattern_name in ("fork", "antifork")
+                and payload.holds_in(g))
     if case == "SMALL":
         return payload is None and g.n <= 1
     if case.startswith("ANTI_"):
@@ -122,10 +118,12 @@ def _verify(g: Graph, cert: Certificate) -> bool:
     if case == "DISCONNECTED":
         return tuple(payload) == tuple(g.components()) and len(payload) >= 2
     if case == "SIMPLICIAL_TWINS":
+        # adjacent twins share one closed row, a clique iff both are simplicial
         u, v = payload
-        return (0 <= u < v < g.n and g.has_edge(u, v)
-                and are_twins(g, u, v)
-                and is_simplicial(g, u) and is_simplicial(g, v))
+        if not (type(u) is type(v) is int and 0 <= u < v < g.n):
+            return False
+        row = g.adj[u] | 1 << u
+        return g.adj[v] | 1 << v == row and _is_clique_mask(g.adj, row)
     if case == "LINEGRAPH_TF":
         return isinstance(payload, RootGraph) and _is_triangle_free_root(g, payload)
     if case == "CANDLED":

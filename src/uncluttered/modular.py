@@ -2,11 +2,13 @@
 
 A homogeneous set is a vertex set X such that every outside vertex is either
 complete or anticomplete to X; the decomposition theory branches on whether a
-nontrivial one exists.  Twins are a two-element special case and get their
-own finders because two of the theorem's cases quantify over them directly.
-A twin finder returns the least pair as a plain ``(u, v)`` with u < v; its
-name says whether the pair is adjacent, and the adjacent finder's pair is
-simplicial as well.
+nontrivial one exists, and the finder returns just its members.  Twins are a
+two-element special case and get their own finders because two of the
+theorem's cases quantify over them directly.  A twin finder returns the least
+pair as a plain ``(u, v)`` with u < v; its name says whether the pair is
+adjacent, and the adjacent finder's pair is simplicial as well: the two share
+one closed row, and that row is a clique, which is what the certificate
+verifier rechecks.
 
 The simplicial and twin kernels take rows and a vertex mask ``within``, so the
 colorer searches an induced part in the graph's own labels; twins come from
@@ -16,17 +18,7 @@ two members gives the least pair as a pair scan would.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import InputError
 from .graph import Graph, _is_clique_mask, _mask_to_tuple, _row_classes, _sides
-
-
-class HomogeneousSet(NamedTuple):
-    """A nontrivial homogeneous set plus the forced outside split."""
-    members: tuple[int, ...]
-    complete_side: tuple[int, ...]
-    anticomplete_side: tuple[int, ...]
 
 
 def _closure_mask(g: Graph, seed: int) -> int:
@@ -56,8 +48,9 @@ def _nonadjacent_twins_in(adj: tuple[int, ...], within: int) -> tuple[int, int] 
     return None
 
 
-def find_nontrivial_homogeneous_set(g: Graph) -> HomogeneousSet | None:
-    """First nontrivial homogeneous set in pair-lexicographic order, or None.
+def find_nontrivial_homogeneous_set(g: Graph) -> tuple[int, ...] | None:
+    """Members of the first nontrivial homogeneous set in pair-lexicographic
+    order, or None.
 
     Every nontrivial homogeneous set contains some pair's closure, and the
     closure of any pair inside it stays inside it, so scanning all pair
@@ -70,31 +63,8 @@ def find_nontrivial_homogeneous_set(g: Graph) -> HomogeneousSet | None:
         for v in range(u + 1, g.n):
             x = _closure_mask(g, 1 << u | 1 << v)
             if x != full:
-                comp, anti, _ = _sides(g.adj, full & ~x, x)
-                return HomogeneousSet(_mask_to_tuple(x), _mask_to_tuple(comp),
-                                      _mask_to_tuple(anti))
+                return _mask_to_tuple(x)
     return None
-
-
-def _check_vertices(g: Graph, *vs: int) -> None:
-    for v in vs:
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.n:
-            raise InputError(f"vertex {v!r} out of range for n={g.n}")
-
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff the neighborhood of v is a clique (isolated vertices count)."""
-    _check_vertices(g, v)
-    return _is_clique_mask(g.adj, g.adj[v])
-
-
-def are_twins(g: Graph, u: int, v: int) -> bool:
-    """True iff u and v agree on all neighbors outside the pair itself."""
-    _check_vertices(g, u, v)
-    if u == v:
-        raise InputError("twin check needs two distinct vertices")
-    strip = ~(1 << u | 1 << v)
-    return g.adj[u] & strip == g.adj[v] & strip
 
 
 def find_adjacent_simplicial_twins(g: Graph) -> tuple[int, int] | None:

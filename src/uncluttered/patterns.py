@@ -3,8 +3,10 @@
 A graph is "uncluttered" when it has no induced fork (a P4 plus an extra leaf
 on the path's second vertex) and no induced antifork (the fork's complement).
 This module builds those and the other fixed patterns the structure theory
-keeps reaching for, finds induced embeddings of arbitrary small patterns, and
-decides unclutteredness.
+keeps reaching for, finds the least induced embedding of an arbitrary small
+pattern as a plain tuple, and decides unclutteredness.  A non-member's
+witness is a ``PatternWitness``: the name "fork" or "antifork" plus an
+embedding, which ``holds_in`` rechecks against the host.
 
 The fork and the antifork are both connected and co-connected, so every
 one of them lies inside a part of g that is connected and co-connected:
@@ -37,6 +39,7 @@ antifork.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
@@ -67,44 +70,35 @@ def pattern(name: str) -> Graph:
     return g
 
 
-class PatternWitness:
-    """An induced embedding of a small pattern into a host graph.
+class PatternWitness(NamedTuple):
+    """An induced embedding of a named pattern into a host graph.
 
-    ``embedding[i]`` is the host vertex playing pattern vertex i.  The host
-    is not stored; ``holds_in(host)`` rechecks the defining property.
+    ``embedding[i]`` is the host vertex playing vertex i of
+    ``pattern(pattern_name)``.  The host is not stored; ``holds_in(host)``
+    rechecks the defining property.
     """
 
-    __slots__ = ("pattern_name", "pattern", "embedding")
+    pattern_name: str
+    embedding: tuple[int, ...]
 
-    def __init__(self, pattern_name: str | None, pattern_graph: Graph,
-                 embedding: tuple[int, ...]):
-        if len(embedding) != pattern_graph.n:
-            raise InputError("embedding length does not match pattern size")
-        if len(set(embedding)) != len(embedding):
-            raise InputError("embedding is not injective")
-        self.pattern_name = pattern_name
-        self.pattern = pattern_graph
-        self.embedding = tuple(embedding)
+    @property
+    def pattern(self) -> Graph:
+        return pattern(self.pattern_name)
 
     def holds_in(self, host: Graph) -> bool:
-        """True iff the embedding induces the pattern exactly (edges and non-edges)."""
-        emb = self.embedding
+        """True iff the embedding lists distinct vertices of host, as ints
+        and not bools, that induce the pattern exactly (edges and
+        non-edges)."""
         p = self.pattern
-        for a in range(p.n):
-            if not 0 <= emb[a] < host.n:
-                return False
-            for b in range(a + 1, p.n):
-                if host.has_edge(emb[a], emb[b]) != p.has_edge(a, b):
-                    return False
-        return True
-
-    def __repr__(self):
-        name = self.pattern_name or "pattern"
-        return f"PatternWitness({name}, embedding={self.embedding})"
+        emb = self.embedding
+        if not (all(type(v) is int and 0 <= v < host.n for v in emb)
+                and len(emb) == len(set(emb)) == p.n):
+            return False
+        return all(host.has_edge(emb[a], emb[b]) == p.has_edge(a, b)
+                   for a, b in combinations(range(p.n), 2))
 
 
-def find_induced(pattern_graph: Graph, host: Graph,
-                 name: str | None = None) -> PatternWitness | None:
+def find_induced(pattern_graph: Graph, host: Graph) -> tuple[int, ...] | None:
     """Lexicographically least induced embedding of the pattern, or None.
 
     Assigns pattern vertices 0,1,... in order, trying host vertices in
@@ -115,7 +109,7 @@ def find_induced(pattern_graph: Graph, host: Graph,
     pdeg = [pattern_graph.degree(i) for i in range(pattern_graph.n)]
     image = [0] * pattern_graph.n
     if _place(pattern_graph, host, pdeg, image, 0, 0):
-        return PatternWitness(name, pattern_graph, tuple(image))
+        return tuple(image)
     return None
 
 
@@ -142,7 +136,7 @@ def _place(p: Graph, host: Graph, pdeg: list[int], image: list[int],
 
 def has_induced(g: Graph, name: str) -> bool:
     """True iff the named pattern embeds in g as an induced subgraph."""
-    return find_induced(pattern(name), g, name) is not None
+    return find_induced(pattern(name), g) is not None
 
 
 def _crowded(rows: tuple[int, ...] | list[int], part: int) -> int:
@@ -364,4 +358,4 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
     if best is None:
         return None
     sub, name, rows = best
-    return PatternWitness(name, pattern(name), _fork_embedding(sub, rows))
+    return PatternWitness(name, _fork_embedding(sub, rows))

@@ -1,6 +1,8 @@
 import argparse
+import importlib
 import io
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -236,6 +238,37 @@ def test_readme_names_exactly_the_cli_long_options():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     named = set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
     assert named == defined
+
+
+def test_readme_names_only_existing_api():
+    """A backticked name in README prose that looks like API (it holds an
+    underscore, starts uppercase or is called) must exist: on the package,
+    on Graph, or on one of the package's modules; a dotted name is looked
+    up attribute by attribute from one of those."""
+    not_api = {"n_max"}
+    roots = [U, U.Graph] + [importlib.import_module(f"uncluttered.{m.name}")
+                            for m in pkgutil.iter_modules(U.__path__)]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.DOTALL)
+    checked = set()
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        m = re.match(r"([A-Za-z_][\w.]*)(?=$|\(| =)", span)
+        if m is None or m[1] in not_api:
+            continue
+        name = m[1]
+        if "_" in name or name[0].isupper() or span[len(name):].startswith("("):
+            checked.add(name)
+
+    def resolves(root, dotted):
+        for part in dotted.split("."):
+            if not hasattr(root, part):
+                return False
+            root = getattr(root, part)
+        return True
+
+    missing = sorted(n for n in checked if not any(resolves(r, n) for r in roots))
+    assert missing == []
+    assert len(checked) >= 20
 
 
 def test_readme_examples_print_what_the_readme_shows(monkeypatch, capsys):

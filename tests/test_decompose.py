@@ -139,6 +139,38 @@ def test_verify_rejects_cross_case_and_malformed():
     assert not U.verify_certificate(Graph(2), Certificate("SMALL", None))
 
 
+# A valid payload per case, on its host: in K2 beside a diamond, (0, 1) are
+# adjacent simplicial twins, (2, 5) nonadjacent twins, and (3, 4) adjacent
+# twins that are not simplicial.
+VALID = {
+    "SIMPLICIAL_TWINS": (Graph(6, [(0, 1), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]),
+                         (0, 1)),
+    "NOT_UNCLUTTERED": (U.pattern("fork"), U.PatternWitness("fork", (0, 1, 2, 3, 4))),
+}
+BAD_PAYLOADS = {
+    "bool-pair": ("SIMPLICIAL_TWINS", (False, True)),
+    "float-pair": ("SIMPLICIAL_TWINS", (0.0, 1.0)),
+    "reversed-pair": ("SIMPLICIAL_TWINS", (1, 0)),
+    "repeated-pair": ("SIMPLICIAL_TWINS", (0, 0)),
+    "negative-pair": ("SIMPLICIAL_TWINS", (-1, 3)),
+    "pair-past-n": ("SIMPLICIAL_TWINS", (0, 6)),
+    "nonadjacent-twins": ("SIMPLICIAL_TWINS", (2, 5)),
+    "twins-not-simplicial": ("SIMPLICIAL_TWINS", (3, 4)),
+    "four-entries": ("NOT_UNCLUTTERED", U.PatternWitness("fork", (0, 1, 2, 3))),
+    "repeated-vertex": ("NOT_UNCLUTTERED", U.PatternWitness("fork", (0, 1, 2, 3, 3))),
+    "vertex-past-n": ("NOT_UNCLUTTERED", U.PatternWitness("fork", (0, 1, 2, 3, 5))),
+    "bool-entries": ("NOT_UNCLUTTERED", U.PatternWitness("fork", (False, True, 2, 3, 4))),
+    "other-pattern": ("NOT_UNCLUTTERED", U.PatternWitness("antifork", (0, 1, 2, 3, 4))),
+}
+
+
+@pytest.mark.parametrize("case, payload", list(BAD_PAYLOADS.values()), ids=list(BAD_PAYLOADS))
+def test_verify_rejects_bad_vertex_payloads(case, payload):
+    g, good = VALID[case]
+    assert U.verify_certificate(g, Certificate(case, good))
+    assert not U.verify_certificate(g, Certificate(case, payload))
+
+
 def test_verify_strips_one_anti_prefix_from_the_four_base_cases_only():
     # each payload below proves its unprefixed claim
     small = Graph(1)
@@ -171,7 +203,7 @@ def _mutate(rng, g, cert):
         op = rng.randrange(3)
         if op == 0:
             other = "antifork" if p.pattern_name == "fork" else "fork"
-            return Certificate(case, U.PatternWitness(other, p.pattern, p.embedding))
+            return Certificate(case, U.PatternWitness(other, p.embedding))
         emb = list(p.embedding)
         if op == 1:
             i, j = rng.sample((0, 2, 3), 2)
@@ -180,7 +212,7 @@ def _mutate(rng, g, cert):
             emb[rng.randrange(5)] = g.n + 1
             if len(set(emb)) < 5:
                 emb[0] = g.n + 2
-        return Certificate(case, U.PatternWitness(p.pattern_name, p.pattern, tuple(emb)))
+        return Certificate(case, U.PatternWitness(p.pattern_name, tuple(emb)))
     if case in ("DISCONNECTED", "ANTI_DISCONNECTED"):
         parts = list(p)
         op = rng.randrange(3)

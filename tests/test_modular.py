@@ -1,7 +1,5 @@
-import pytest
-
 import uncluttered as U
-from uncluttered import Graph, InputError
+from uncluttered import Graph
 from uncluttered.graph import _mask_to_tuple
 from uncluttered.modular import _closure_mask, _nonadjacent_twins_in, _simplicial_in
 
@@ -17,6 +15,10 @@ def is_homogeneous(g, members):
         if hits not in (0, len(inside)):
             return False
     return True
+
+
+def closed_neighbourhood(g, v):
+    return {w for w in range(g.n) if w == v or g.has_edge(v, w)}
 
 
 def closure(g, u, v):
@@ -50,11 +52,8 @@ def test_smallest_module_is_always_homogeneous(rng):
 def test_homogeneous_set_witness_fields():
     dia = U.pattern("diamond")
     hs = U.find_nontrivial_homogeneous_set(dia)
-    assert hs.members == (0, 1, 3)
-    assert hs.complete_side == (2,)
-    assert hs.anticomplete_side == ()
-    assert is_homogeneous(dia, hs.members)
-    assert 2 <= len(hs.members) < dia.n
+    assert hs == (0, 1, 3)
+    assert is_homogeneous(dia, hs)
 
 
 def test_prime_graphs_have_no_witness():
@@ -70,14 +69,8 @@ def test_homogeneous_witness_is_sound_on_random_graphs(rng):
         if hs is None:
             continue
         found += 1
-        assert 2 <= len(hs.members) < g.n
-        assert is_homogeneous(g, hs.members)
-        outside = set(range(g.n)) - set(hs.members)
-        assert outside == set(hs.complete_side) | set(hs.anticomplete_side)
-        for w in hs.complete_side:
-            assert all(g.has_edge(w, v) for v in hs.members)
-        for w in hs.anticomplete_side:
-            assert not any(g.has_edge(w, v) for v in hs.members)
+        assert 2 <= len(hs) < g.n and hs == tuple(sorted(set(hs)))
+        assert is_homogeneous(g, hs)
     assert found > 30
 
 
@@ -90,35 +83,18 @@ def test_module_existence_is_complement_invariant(census):
 
 
 def test_simplicial_and_antisimplicial():
-    p4 = U.path_graph(4)
-    assert U.is_simplicial(p4, 0) and U.is_simplicial(p4, 3)
-    assert not U.is_simplicial(p4, 1)
-    assert U.find_simplicial_vertex(p4) == 0
+    assert U.find_simplicial_vertex(U.path_graph(4)) == 0
+    assert U.find_simplicial_vertex(Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])) == 0
+    assert U.find_simplicial_vertex(Graph(4, [(0, 1), (0, 2), (0, 3)])) == 1
     assert U.find_simplicial_vertex(U.cycle_graph(5)) is None
-    assert U.is_simplicial(U.complete_graph(3), 0)
-    assert U.is_simplicial(U.edgeless_graph(3), 0)
-
-
-def test_vertex_arguments_are_range_checked():
-    """A negative index must not read another vertex's row."""
-    p4 = U.path_graph(4)
-    for v in (-1, 4, 9, True, 1.0):
-        with pytest.raises(InputError, match="out of range"):
-            U.is_simplicial(p4, v)
-    for u, v in ((0, 9), (-1, 2), (2, -1), (0, 4)):
-        with pytest.raises(InputError, match="out of range"):
-            U.are_twins(p4, u, v)
-    # the certificate verifier still turns bad payloads into False
-    assert not U.verify_certificate(p4, U.Certificate("SIMPLICIAL_TWINS", (-1, 3)))
+    assert U.find_simplicial_vertex(U.complete_graph(3)) == 0
+    assert U.find_simplicial_vertex(U.edgeless_graph(3)) == 0
 
 
 def test_twin_detection():
     dia = U.pattern("diamond")
-    assert U.are_twins(dia, 0, 3)
-    assert not U.are_twins(dia, 0, 1)
-    assert U.are_twins(dia, 1, 2)
-
     assert U.find_nonadjacent_twins(dia) == (0, 3)
+    assert U.find_adjacent_simplicial_twins(dia) is None
     assert U.find_adjacent_simplicial_twins(U.complete_graph(3)) == (0, 1)
     assert U.find_adjacent_simplicial_twins(U.cycle_graph(4)) is None
     assert U.find_nonadjacent_twins(U.path_graph(4)) is None
@@ -150,8 +126,9 @@ def test_adjacent_simplicial_twins_are_what_they_claim(rng):
         hits += 1
         u, v = tw
         assert u < v and g.has_edge(u, v)
-        assert U.are_twins(g, u, v)
-        assert U.is_simplicial(g, u) and U.is_simplicial(g, v)
+        nu, nv = closed_neighbourhood(g, u), closed_neighbourhood(g, v)
+        assert nu == nv
+        assert all(g.has_edge(a, b) for a in nu for b in nu if a < b)
     assert hits > 20
 
 
