@@ -238,7 +238,7 @@ def audit(n_max: int, suites=None, graphs=None) -> AuditReport:
     ``graphs`` is an iterable of graph6 strings, each decoded once and still
     gated by the per-suite size caps; the report's n_max is then the largest
     vertex count scanned (0 for an empty stream).  ``suites`` (default: all)
-    must name at least one suite.
+    must name at least one suite, and each only once.
     """
     t0 = time.monotonic()
     suites = SUITE_NAMES if suites is None else tuple(suites)
@@ -247,6 +247,8 @@ def audit(n_max: int, suites=None, graphs=None) -> AuditReport:
     for s in suites:
         if s not in SUITE_CAPS:
             raise InputError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
+        if suites.count(s) > 1:
+            raise InputError(f"suite {s!r} is named more than once")
     if isinstance(n_max, bool) or not isinstance(n_max, int):
         raise InputError(f"n_max must be an int, got {n_max!r}")
     if isinstance(graphs, str):

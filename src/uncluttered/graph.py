@@ -224,8 +224,8 @@ def _component_masks(adj: tuple[int, ...], within: int, flip: int = 0) -> list[i
     Each row is read as ``adj[v] ^ flip``; with ``flip`` the full mask that
     is the complement row (plus v itself, which the sweep already holds), so
     the same sweep yields anticomponents without building a complement.
-    Each round walks the smaller of the frontier and the unreached rest:
-    the frontier's rows, or the rest vertices whose rows meet the frontier.
+    Each round ORs the rows of the frontier, the vertices reached last, and
+    keeps what is still unreached as the next frontier.
     """
     left = within
     comps = []
@@ -234,23 +234,13 @@ def _component_masks(adj: tuple[int, ...], within: int, flip: int = 0) -> list[i
         left ^= frontier
         while frontier and left:
             new = 0
-            if frontier.bit_count() <= left.bit_count():
-                m = frontier
-                while m:
-                    low = m & -m
-                    new |= adj[low.bit_length() - 1] ^ flip
-                    m ^= low
-                new &= left
-            else:
-                m = left
-                while m:
-                    low = m & -m
-                    if (adj[low.bit_length() - 1] ^ flip) & frontier:
-                        new |= low
-                    m ^= low
-            frontier = new
-            comp |= new
-            left ^= new
+            while frontier:
+                low = frontier & -frontier
+                new |= adj[low.bit_length() - 1] ^ flip
+                frontier ^= low
+            frontier = new & left
+            comp |= frontier
+            left ^= frontier
         comps.append(comp)
     return comps
 

@@ -20,12 +20,13 @@ one kernel: each root vertex holds an incidence mask of its edges, and an
 edge's row is the OR of its two endpoints' masks.  The test suite checks
 that the roots appear exactly on the claw- and diamond-free graphs.
 
-A candelabrum is forced by any one clique-part vertex, so recognition builds
-one split per closed-twin class and checks each.  Candelabrum and candled
-checks work on vertex masks of the host graph with the mask kernels of
-graph.py (clique, stable, complete, anticomplete, the component sweep and the
-complete/anticomplete/mixed split), so a body is checked in g's own labels,
-never induced and relabeled.
+A candelabrum is forced by any one clique-part vertex, and a candled split
+by its rest, so recognition builds one split per closed-twin class and
+detection one per candidate rest; each forced split is kept only if
+verify_candled accepts it.  Splits are built and checked on vertex masks of
+the host graph with the mask kernels of graph.py (clique, stable, complete,
+anticomplete, the component sweep and the complete/anticomplete/mixed
+split), so a body stays in g's own labels, never induced and relabeled.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ class RootGraph(NamedTuple):
 def verify_root(g: Graph, rg: RootGraph) -> bool:
     """Recheck that rg.edge_map is an isomorphism from g to line_graph(root).
 
-    The map must hold g.n distinct root edges and the root exactly g.n
-    edges; then the line-graph rows of the mapped edges must be g's rows.
+    The map must hold g.n distinct root edges, each a pair of int vertices,
+    and the root exactly g.n edges; then the line-graph rows of the mapped edges must be g's rows.
     Works on edgeless and empty hosts too.
     """
     root, edge_map = rg.root, rg.edge_map
@@ -113,7 +114,7 @@ def verify_root(g: Graph, rg: RootGraph) -> bool:
         return False
     rows, n = root.adj, root.n
     for a, b in edge_map:
-        if not (0 <= a < b < n and rows[a] >> b & 1):
+        if not (type(a) is type(b) is int and 0 <= a < b < n and rows[a] >> b & 1):
             return False
     return (len(set(map(tuple, edge_map))) == g.n and root.edge_count() == g.n
             and tuple(_line_rows(edge_map, n)) == g.adj)
@@ -209,44 +210,19 @@ class CandelabrumStructure(NamedTuple):
         return tuple(sorted(both))
 
 
-def _candelabrum_holds(adj: tuple[int, ...], ymasks: list[int],
-                       zmasks: list[int]) -> bool:
-    """The candelabrum adjacency conditions on disjoint nonempty part masks."""
-    k = len(ymasks)
-    for i in range(k):
-        ym, zm = ymasks[i], zmasks[i]
-        if not (_is_clique_mask(adj, ym) and _is_stable_mask(adj, zm)
-                and _is_complete_mask(adj, ym, zm)):
-            return False
-        for j in range(i + 1, k):
-            if not (_is_anticomplete_mask(adj, ym, ymasks[j])
-                    and _is_complete_mask(adj, zm, zmasks[j])
-                    and _is_anticomplete_mask(adj, ym, zmasks[j])
-                    and _is_anticomplete_mask(adj, ymasks[j], zm)):
-                return False
-    return True
-
-
-def _candelabrum_on(g: Graph, body: int, base: int) -> CandelabrumStructure | None:
-    """The candelabrum induced on the body mask with this base mask, if any,
-    with its parts in g's own labels."""
+def _candelabrum_on(g: Graph, body: int, base: int) -> CandelabrumStructure:
+    """The split of the body mask that this base mask forces, in g's own
+    labels: the Y's are the components of body - base, and each Z_i is the
+    set of base vertices with a neighbour in Y_i.  Unchecked: the split is a
+    candelabrum only if verify_candled accepts it."""
     adj = g.adj
-    non_base = body & ~base
-    if not base or not non_base:
-        return None
-    ymasks = _component_masks(adj, non_base)
-    zmasks = [0] * len(ymasks)
-    m = base
-    while m:
-        low = m & -m
-        row = adj[low.bit_length() - 1]
-        hits = [i for i, ym in enumerate(ymasks) if row & ym]
-        if len(hits) != 1:
-            return None
-        zmasks[hits[0]] |= low
-        m ^= low
-    if not all(zmasks) or not _candelabrum_holds(adj, ymasks, zmasks):
-        return None
+    ymasks = _component_masks(adj, body & ~base)
+    zmasks = []
+    for ym in ymasks:
+        seen = 0
+        for y in _mask_to_tuple(ym):
+            seen |= adj[y]
+        zmasks.append(base & seen)
     return CandelabrumStructure(tuple(_mask_to_tuple(ym) for ym in ymasks),
                                 tuple(_mask_to_tuple(zm) for zm in zmasks))
 
@@ -259,7 +235,8 @@ def recognize_candelabrum(g: Graph) -> CandelabrumStructure | None:
     (or the top vertex of the class when that rest is empty, which covers
     one part and complete graphs), and the base that stable part plus the
     outside neighbors of its least vertex.  Each closed-twin class is tried
-    once, by least vertex, and each split is checked by _candelabrum_on.
+    once, by least vertex: _candelabrum_on builds the split, and it is kept
+    only if verify_candled accepts it.
     """
     adj, full = g.adj, g.full_mask
     closed_rows = [row | 1 << v for v, row in enumerate(adj)]
@@ -268,7 +245,7 @@ def recognize_candelabrum(g: Graph) -> CandelabrumStructure | None:
         stable = closed & ~part or 1 << (part.bit_length() - 1)
         z = (stable & -stable).bit_length() - 1
         st = _candelabrum_on(g, full, stable | (adj[z] & ~closed))
-        if st is not None:
+        if verify_candled(g, CandledDecomposition(st, ())):
             return st
     return None
 
@@ -287,22 +264,16 @@ class CandledDecomposition(NamedTuple):
 
 
 def _candled_with_rest(g: Graph, rest_mask: int) -> CandledDecomposition | None:
-    """Try one rest set; everything else about the decomposition is forced."""
-    body = g.full_mask & ~rest_mask
-    if not body:
-        return None
+    """Try one rest set, which forces the rest of the split: the base is the
+    body vertices complete to it (the empty rest goes to
+    recognize_candelabrum).  Kept only if verify_candled accepts it."""
     if rest_mask == 0:
         st = recognize_candelabrum(g)
         return CandledDecomposition(st, ()) if st is not None else None
-    # Base vertices must be complete to the rest, all other candelabrum
-    # vertices anticomplete to it; that splits the body with no choices left.
-    base, _, mixed = _sides(g.adj, body, rest_mask)
-    if mixed:
-        return None
-    st = _candelabrum_on(g, body, base)
-    if st is None:
-        return None
-    return CandledDecomposition(st, _mask_to_tuple(rest_mask))
+    body = g.full_mask & ~rest_mask
+    dec = CandledDecomposition(_candelabrum_on(g, body, _sides(g.adj, body, rest_mask)[0]),
+                               _mask_to_tuple(rest_mask))
+    return dec if verify_candled(g, dec) else None
 
 
 def detect_candled(g: Graph) -> CandledDecomposition | None:
@@ -337,18 +308,31 @@ def verify_candled(g: Graph, dec: CandledDecomposition) -> bool:
     """Recheck a candled decomposition from scratch against g.
 
     Malformed shapes (unequal part counts, empty or overlapping parts,
-    vertices out of range, parts and rest not covering g) give False.
+    vertices that are not ints in range, parts and rest not covering g)
+    give False.  Then the parts must form a candelabrum, whose base is
+    complete to the rest and whose other vertices are anticomplete to it.
     """
     st = dec.candelabrum
     k = len(st.clique_parts)
     parts = (*st.clique_parts, *st.stable_parts)
+    vs = (*st.vertex_set, *dec.rest)
     if (k == 0 or len(parts) != 2 * k or not all(parts)
-            or sorted((*st.vertex_set, *dec.rest)) != list(range(g.n))):
+            or not all(type(v) is int for v in vs) or sorted(vs) != list(range(g.n))):
         return False
     ymasks = [sum(1 << v for v in p) for p in st.clique_parts]
     zmasks = [sum(1 << v for v in p) for p in st.stable_parts]
-    rest = sum(1 << v for v in dec.rest)
     adj = g.adj
-    return (_candelabrum_holds(adj, ymasks, zmasks)
-            and _is_complete_mask(adj, sum(zmasks), rest)
+    for i in range(k):
+        ym, zm = ymasks[i], zmasks[i]
+        if not (_is_clique_mask(adj, ym) and _is_stable_mask(adj, zm)
+                and _is_complete_mask(adj, ym, zm)):
+            return False
+        for j in range(i + 1, k):
+            if not (_is_anticomplete_mask(adj, ym, ymasks[j])
+                    and _is_complete_mask(adj, zm, zmasks[j])
+                    and _is_anticomplete_mask(adj, ym, zmasks[j])
+                    and _is_anticomplete_mask(adj, ymasks[j], zm)):
+                return False
+    rest = sum(1 << v for v in dec.rest)
+    return (_is_complete_mask(adj, sum(zmasks), rest)
             and _is_anticomplete_mask(adj, sum(ymasks), rest))

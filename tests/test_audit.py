@@ -167,6 +167,12 @@ def test_audit_stream_runs_the_main_theorem_past_the_census():
 def test_audit_input_validation():
     with pytest.raises(InputError):
         U.audit(4, suites=("main-theorem", "nope"))
+    # a repeated name would report the suite twice over one result
+    for suites in (["chi-bound", "chi-bound"], ("diamond", "chi-bound", "diamond")):
+        with pytest.raises(InputError, match="named more than once"):
+            U.audit(3, suites=suites)
+        with pytest.raises(InputError, match="named more than once"):
+            U.audit(3, suites=suites, graphs=["Dhc"])
     with pytest.raises(InputError):
         U.audit(0)
     with pytest.raises(InputError):

@@ -191,6 +191,10 @@ def test_audit_argument_errors(monkeypatch, capsys):
                              ["audit", "--suite", "bogus"])
     assert code == 2 and "unknown suite" in err
     code, out, err = run_cli(monkeypatch, capsys,
+                             ["audit", "--suite", "main-theorem,main-theorem"])
+    assert (code, out) == (2, "")
+    assert err == "error: suite 'main-theorem' is named more than once\n"
+    code, out, err = run_cli(monkeypatch, capsys,
                              ["audit", "--from", "/no/such/stream.g6"])
     assert code == 2 and err.startswith("error: ")
     for suite in (",", "", " , "):
@@ -269,6 +273,14 @@ def test_readme_names_only_existing_api():
     missing = sorted(n for n in checked if not any(resolves(r, n) for r in roots))
     assert missing == []
     assert len(checked) >= 20
+
+
+def test_readme_suite_table_matches_suite_caps():
+    """The README suite table lists every audit suite with its size cap, in
+    registry order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| ([a-z-]+) +\| (\d+) +\|", readme, re.MULTILINE)
+    assert [(name, int(cap)) for name, cap in rows] == list(U.SUITE_CAPS.items())
 
 
 def test_readme_examples_print_what_the_readme_shows(monkeypatch, capsys):

@@ -10,6 +10,8 @@ import uncluttered as U
 from uncluttered import Certificate, Graph
 from uncluttered.decompose import certificate_json, tree_json
 
+from oracles import compose_candled, random_candelabrum
+
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 4), (1, 4), (1, 2), (2, 3)])
 # SHA-256 of the certificate JSON of every census graph with n <= 7 and of
 # its complement; it pins root numbering and part order byte for byte.
@@ -141,11 +143,17 @@ def test_verify_rejects_cross_case_and_malformed():
 
 # A valid payload per case, on its host: in K2 beside a diamond, (0, 1) are
 # adjacent simplicial twins, (2, 5) nonadjacent twins, and (3, 4) adjacent
-# twins that are not simplicial.
+# twins that are not simplicial.  C5 is its own line graph, and the path
+# ``BW`` is a candelabrum with clique part (2,) and stable part (0, 1).
+C5_ROOT = U.recognize_line_graph_triangle_free(U.cycle_graph(5))
+BW_SPLIT = U.detect_candled(U.from_graph6("BW"))
 VALID = {
     "SIMPLICIAL_TWINS": (Graph(6, [(0, 1), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]),
                          (0, 1)),
     "NOT_UNCLUTTERED": (U.pattern("fork"), U.PatternWitness("fork", (0, 1, 2, 3, 4))),
+    "DISCONNECTED": (Graph(2), ((0,), (1,))),
+    "LINEGRAPH_TF": (U.cycle_graph(5), C5_ROOT),
+    "CANDLED": (U.from_graph6("BW"), BW_SPLIT),
 }
 BAD_PAYLOADS = {
     "bool-pair": ("SIMPLICIAL_TWINS", (False, True)),
@@ -161,6 +169,11 @@ BAD_PAYLOADS = {
     "vertex-past-n": ("NOT_UNCLUTTERED", U.PatternWitness("fork", (0, 1, 2, 3, 5))),
     "bool-entries": ("NOT_UNCLUTTERED", U.PatternWitness("fork", (False, True, 2, 3, 4))),
     "other-pattern": ("NOT_UNCLUTTERED", U.PatternWitness("antifork", (0, 1, 2, 3, 4))),
+    "bool-parts": ("DISCONNECTED", ((False,), (True,))),
+    "bool-root-edge": ("LINEGRAPH_TF", C5_ROOT._replace(
+        edge_map=((False, True),) + C5_ROOT.edge_map[1:])),
+    "bool-stable-part": ("CANDLED", BW_SPLIT._replace(candelabrum=BW_SPLIT.candelabrum._replace(
+        stable_parts=((False, True),)))),
 }
 
 
@@ -312,6 +325,19 @@ def test_tree_json_frozen_strings():
     assert json.dumps(tree_json(leaf)) == (
         '{"case": "CANDLED", "payload": {"clique_parts": [[0], [1]],'
         ' "stable_parts": [[2], [3]], "base": [2, 3], "rest": []}, "children": []}')
+    # an ANTI_CANDLED node whose candelabrum leaf is ANTI_CANDLED too
+    got = json.dumps(tree_json(U.decomposition_tree(U.from_graph6("LXIvnkA?n~{XG_"))))
+    assert got == (
+        '{"case": "SIMPLICIAL_TWINS", "payload": {"u": 8, "v": 9}, "children":'
+        ' [{"case": "ANTI_CANDLED", "payload": {"clique_parts": [[2], [6], [9]],'
+        ' "stable_parts": [[8], [4], [11]], "base": [4, 8, 11],'
+        ' "rest": [0, 1, 3, 5, 7, 10]}, "children": [{"case": "ANTI_CANDLED",'
+        ' "payload": {"clique_parts": [[0], [2], [4]], "stable_parts": [[3], [1], [5]],'
+        ' "base": [1, 3, 5], "rest": []}, "children": []}, {"case": "ANTI_DISCONNECTED",'
+        ' "payload": {"parts": [[0, 1, 2, 3, 5], [4]]}, "children": [{"case": "LINEGRAPH_TF",'
+        ' "payload": {"root_n": 6, "root_edges": [[0, 1], [0, 3], [1, 2], [2, 4], [3, 5]],'
+        ' "edge_map": [[0, 1], [2, 4], [3, 5], [0, 3], [1, 2]]}, "children": []},'
+        ' {"case": "SMALL", "payload": {}, "children": []}]}]}]}')
 
 
 def test_certificate_json_key_order():
@@ -363,6 +389,36 @@ def test_trees_build_for_every_uncluttered_graph_up_to_eight():
     assert max_depth == {0: 1, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8}
     assert leaf_hist == {"SMALL": 7294, "LINEGRAPH_TF": 838,
                          "ANTI_LINEGRAPH_TF": 229, "CANDLED": 2}
+
+
+def test_trees_of_candled_compositions_verify_at_every_node(uncluttered_census):
+    """Candelabra joined to an uncluttered rest, relabeled and complemented
+    half the time: every node of every tree re-verifies, ANTI_CANDLED nodes
+    included.  The candidate rests of detect_candled miss some of these, so
+    a pinned number raise TheoremViolationError."""
+    rng = random.Random(5)
+    pool = [g for n in range(8) for g in uncluttered_census[n]]
+    raised = anti_candled = 0
+    for _ in range(300):
+        cand, _, zs = random_candelabrum(rng, max_k=4, max_part=3)
+        rest = pool[rng.randrange(len(pool))]
+        g = compose_candled(rest, cand, [v for z in zs for v in z])
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+        if rng.random() < 0.5:
+            g = g.complement()
+        try:
+            nodes = [U.decomposition_tree(g)]
+        except U.TheoremViolationError:
+            raised += 1
+            continue
+        while nodes:
+            t = nodes.pop()
+            assert U.verify_certificate(t.graph, t.certificate), U.to_graph6(g)
+            anti_candled += t.certificate.case == "ANTI_CANDLED"
+            nodes.extend(t.children)
+    assert (raised, anti_candled) == (23, 94)
 
 
 def test_tree_rejects_non_members():

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 import uncluttered as U
-from uncluttered import Graph, InputError
+from uncluttered import Graph, InputError, structure
 from uncluttered.graph import invariant_key
 from uncluttered.modular import find_adjacent_simplicial_twins
 from uncluttered.structure import RootGraph, _candelabrum_on, is_line_graph_of_bipartite
@@ -240,10 +240,9 @@ def test_recognize_with_base_agrees_with_definition(census, rng):
         base = [v for v in range(n) if mask >> v & 1]
         got = _candelabrum_on(g, g.full_mask, mask)
         want = oracle_candelabrum_with_base(g, base)
-        assert (got is not None) == want, (U.to_graph6(g), base)
-        if got is not None:
+        assert is_candelabrum(g, *got) == want, (U.to_graph6(g), base)
+        if want:
             assert got.base == tuple(base)
-            assert is_candelabrum(g, got.clique_parts, got.stable_parts)
 
 
 def test_random_candelabra_are_recognized_and_uncluttered(rng):
@@ -313,7 +312,7 @@ def test_verify_candled_rejects_corruption():
 
 
 def test_candelabrum_on_matches_induce_and_relabel(census):
-    """Checking a body in place gives what inducing it, recognizing with the
+    """Building on a body in place gives what inducing it, building with the
     local base and mapping the parts back gives, for every body and base."""
     for n in range(1, 7):
         for g in census[n]:
@@ -324,12 +323,23 @@ def test_candelabrum_on_matches_induce_and_relabel(census):
                 while True:
                     local = sum(1 << i for i, v in enumerate(vs) if base >> v & 1)
                     st = _candelabrum_on(sub, sub.full_mask, local)
-                    want = None if st is None else U.CandelabrumStructure(
+                    want = U.CandelabrumStructure(
                         *(tuple(tuple(vs[i] for i in p) for p in side) for side in st))
                     assert _candelabrum_on(g, body, base) == want, (U.to_graph6(g), body, base)
                     if not base:
                         break
                     base = (base - 1) & body
+
+
+def test_candled_finders_keep_only_what_verify_candled_accepts(census, monkeypatch):
+    """The finders build splits and check none themselves: with a verifier
+    that rejects everything, they find nothing."""
+    graphs = [g for n in range(7) for g in census[n]]
+    assert any(U.recognize_candelabrum(g) for g in graphs)
+    monkeypatch.setattr(structure, "verify_candled", lambda g, dec: False)
+    for g in graphs:
+        assert U.detect_candled(g) is None, U.to_graph6(g)
+        assert U.recognize_candelabrum(g) is None, U.to_graph6(g)
 
 
 def test_exhaustive_mode_finds_planted_compositions(census, rng):
