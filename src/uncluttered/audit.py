@@ -258,7 +258,12 @@ def audit(n_max: int, suites=None, graphs=None) -> AuditReport:
             raise InputError(f"audit needs 1 <= n_max <= {MAX_CENSUS_N}, got {n_max}")
         work = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
     else:
-        work = [from_graph6(line.strip()) for line in graphs if line.strip()]
+        work = []
+        for line in graphs:
+            if not isinstance(line, str):
+                raise InputError(f"graphs must hold graph6 strings, got {line!r}")
+            if line.strip():
+                work.append(from_graph6(line.strip()))
         n_max = max((g.n for g in work), default=0)
     report = AuditReport(n_max=n_max, suites=suites)
     _merge(report, work, (audit_one(g, suites) for g in work))

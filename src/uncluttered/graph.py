@@ -6,9 +6,9 @@ induced subgraphs, component sweeps) down to a handful of integer operations.
 All set-valued results come back as ascending tuples, and list-valued results
 are ordered by smallest member, so downstream output is reproducible.
 
-The private mask kernels (clique, stable, complete, anticomplete, component
-sweep, and the complete/anticomplete/mixed split of outside vertices) take
-rows and vertex masks, which they trust to hold vertices of the graph.
+The private mask kernels (clique, component sweep, and the
+complete/anticomplete/mixed split of outside vertices) take rows and vertex
+masks, which they trust to hold vertices of the graph.
 They are the one implementation of each check, and the other layers call
 them on parts of a graph in its own labels.  Isomorphism has one engine:
 the canonical form ``invariant_key``, an individualization-refinement search
@@ -118,30 +118,35 @@ class Graph:
 
     def induced(self, vs: Iterable[int]) -> "Graph":
         """Subgraph induced on ``vs``, relabeled to 0..k-1 in ascending order;
-        the graph itself when ``vs`` holds every vertex.
+        the graph itself when ``vs`` holds every vertex.  Every item of ``vs``
+        must be an int (not a bool) in 0..n-1.
 
         Each maximal run of consecutive kept labels moves down to its new
         place in every kept row with one mask and one shift.
         """
-        keep = sorted(set(vs))
-        runs: list[list[int]] = []  # [first label, last label, new first label]
-        for i, v in enumerate(keep):
-            if not 0 <= v < self.n:
-                raise InputError(f"vertex {v} out of range for n={self.n}")
-            if runs and runs[-1][1] == v - 1:
-                runs[-1][1] = v
-            else:
-                runs.append([v, v, i])
-        if len(keep) == self.n:
+        n = self.n
+        keep = 0
+        for v in vs:
+            if type(v) is not int or not 0 <= v < n:
+                raise InputError(f"vertex {v!r} is not an int in range for n={n}")
+            keep |= 1 << v
+        if keep == self.full_mask:
             return self
-        moves = [((2 << b) - (1 << a), a - i) for a, b, i in runs]
+        moves = []  # (run mask, dropped labels below it)
+        m = keep
+        while m:
+            low = m & -m
+            run = m & ~(m + low)
+            moves.append((run, (low - 1 & ~keep).bit_count()))
+            m ^= run
         rows = []
-        for v in keep:
-            row = self.adj[v]
-            new = 0
-            for mask, shift in moves:
-                new |= (row & mask) >> shift
-            rows.append(new)
+        for run, _ in moves:
+            for v in range(run.bit_length() - run.bit_count(), run.bit_length()):
+                row = self.adj[v]
+                new = 0
+                for mask, shift in moves:
+                    new |= (row & mask) >> shift
+                rows.append(new)
         return Graph.from_rows(rows)
 
     # -- connectivity -----------------------------------------------------
@@ -190,32 +195,6 @@ def _is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:
             return False
         m ^= low
     return True
-
-
-def _is_complete_mask(adj: tuple[int, ...], a: int, b: int) -> bool:
-    """True iff every vertex of a is adjacent to every vertex of b."""
-    m = a
-    while m:
-        low = m & -m
-        if b & ~adj[low.bit_length() - 1]:
-            return False
-        m ^= low
-    return True
-
-
-def _is_anticomplete_mask(adj: tuple[int, ...], a: int, b: int) -> bool:
-    """True iff no edge joins a to b."""
-    m = a
-    while m:
-        low = m & -m
-        if b & adj[low.bit_length() - 1]:
-            return False
-        m ^= low
-    return True
-
-
-def _is_stable_mask(adj: tuple[int, ...], mask: int) -> bool:
-    return _is_anticomplete_mask(adj, mask, mask)
 
 
 def _component_masks(adj: tuple[int, ...], within: int, flip: int = 0) -> list[int]:

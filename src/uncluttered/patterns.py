@@ -86,12 +86,13 @@ class PatternWitness(NamedTuple):
         return pattern(self.pattern_name)
 
     def holds_in(self, host: Graph) -> bool:
-        """True iff the embedding lists distinct vertices of host, as ints
-        and not bools, that induce the pattern exactly (edges and
-        non-edges)."""
-        p = self.pattern
+        """True iff the name is a known pattern's and the embedding is a
+        tuple of distinct vertices of host, as ints and not bools, that
+        induce the pattern exactly (edges and non-edges)."""
+        p = _PATTERNS.get(self.pattern_name) if isinstance(self.pattern_name, str) else None
         emb = self.embedding
-        if not (all(type(v) is int and 0 <= v < host.n for v in emb)
+        if not (p is not None and isinstance(emb, tuple)
+                and all(type(v) is int and 0 <= v < host.n for v in emb)
                 and len(emb) == len(set(emb)) == p.n):
             return False
         return all(host.has_edge(emb[a], emb[b]) == p.has_edge(a, b)

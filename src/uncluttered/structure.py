@@ -23,10 +23,10 @@ that the roots appear exactly on the claw- and diamond-free graphs.
 A candelabrum is forced by any one clique-part vertex, and a candled split
 by its rest, so recognition builds one split per closed-twin class and
 detection one per candidate rest; each forced split is kept only if
-verify_candled accepts it.  Splits are built and checked on vertex masks of
-the host graph with the mask kernels of graph.py (clique, stable, complete,
-anticomplete, the component sweep and the complete/anticomplete/mixed
-split), so a body stays in g's own labels, never induced and relabeled.
+verify_candled accepts it, comparing each part vertex's row with the row its
+part predicts.  Splits are built on vertex masks of the host graph with the
+component sweep and the complete/anticomplete/mixed split of graph.py, so a
+body stays in g's own labels, never induced and relabeled.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from .graph import (
     MAX_VERTICES,
     Graph,
     _component_masks,
-    _is_anticomplete_mask,
-    _is_clique_mask,
-    _is_complete_mask,
-    _is_stable_mask,
     _mask_to_tuple,
     _row_classes,
     _sides,
@@ -205,26 +201,19 @@ class CandelabrumStructure(NamedTuple):
 
     @property
     def vertex_set(self) -> tuple[int, ...]:
-        both = [v for part in self.clique_parts for v in part]
-        both += [v for part in self.stable_parts for v in part]
-        return tuple(sorted(both))
+        return tuple(sorted(v for part in (*self.clique_parts, *self.stable_parts)
+                            for v in part))
 
 
 def _candelabrum_on(g: Graph, body: int, base: int) -> CandelabrumStructure:
     """The split of the body mask that this base mask forces, in g's own
     labels: the Y's are the components of body - base, and each Z_i is the
-    set of base vertices with a neighbour in Y_i.  Unchecked: the split is a
-    candelabrum only if verify_candled accepts it."""
-    adj = g.adj
-    ymasks = _component_masks(adj, body & ~base)
-    zmasks = []
-    for ym in ymasks:
-        seen = 0
-        for y in _mask_to_tuple(ym):
-            seen |= adj[y]
-        zmasks.append(base & seen)
-    return CandelabrumStructure(tuple(_mask_to_tuple(ym) for ym in ymasks),
-                                tuple(_mask_to_tuple(zm) for zm in zmasks))
+    base vertices that the least vertex of Y_i sees, one row per Y_i.
+    Unchecked: verify_candled checks every row of Y_i against this Z_i."""
+    ymasks = _component_masks(g.adj, body & ~base)
+    return CandelabrumStructure(
+        tuple(map(_mask_to_tuple, ymasks)),
+        tuple(_mask_to_tuple(base & g.adj[(ym & -ym).bit_length() - 1]) for ym in ymasks))
 
 
 def recognize_candelabrum(g: Graph) -> CandelabrumStructure | None:
@@ -288,16 +277,9 @@ def detect_candled(g: Graph) -> CandledDecomposition | None:
     every other case fails as well, so classify raises TheoremViolationError
     there.
     """
-    candidates: list[int] = [0]
-    candidates += [1 << v for v in range(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            candidates.append(_closure_mask(g, 1 << u | 1 << v))
-    tried = set()
-    for rest_mask in candidates:
-        if rest_mask in tried:
-            continue
-        tried.add(rest_mask)
+    n = g.n
+    pairs = [_closure_mask(g, 1 << u | 1 << v) for u in range(n) for v in range(u + 1, n)]
+    for rest_mask in dict.fromkeys([0, *(1 << v for v in range(n)), *pairs]):
         dec = _candled_with_rest(g, rest_mask)
         if dec is not None:
             return dec
@@ -309,8 +291,11 @@ def verify_candled(g: Graph, dec: CandledDecomposition) -> bool:
 
     Malformed shapes (unequal part counts, empty or overlapping parts,
     vertices that are not ints in range, parts and rest not covering g)
-    give False.  Then the parts must form a candelabrum, whose base is
-    complete to the rest and whose other vertices are anticomplete to it.
+    give False.  Then, with Y and Z the unions of the clique and stable
+    parts and R the rest, each y in Y_i must see exactly (Y_i - y) | Z_i,
+    and each z in Z_i exactly (Z - Z_i) | R outside Y.  Rows are symmetric,
+    so these two row equalities are exactly the candelabrum and candled
+    conditions.
     """
     st = dec.candelabrum
     k = len(st.clique_parts)
@@ -322,17 +307,12 @@ def verify_candled(g: Graph, dec: CandledDecomposition) -> bool:
     ymasks = [sum(1 << v for v in p) for p in st.clique_parts]
     zmasks = [sum(1 << v for v in p) for p in st.stable_parts]
     adj = g.adj
+    ys, zs, rest = sum(ymasks), sum(zmasks), sum(1 << v for v in dec.rest)
     for i in range(k):
-        ym, zm = ymasks[i], zmasks[i]
-        if not (_is_clique_mask(adj, ym) and _is_stable_mask(adj, zm)
-                and _is_complete_mask(adj, ym, zm)):
-            return False
-        for j in range(i + 1, k):
-            if not (_is_anticomplete_mask(adj, ym, ymasks[j])
-                    and _is_complete_mask(adj, zm, zmasks[j])
-                    and _is_anticomplete_mask(adj, ym, zmasks[j])
-                    and _is_anticomplete_mask(adj, ymasks[j], zm)):
+        for y in st.clique_parts[i]:
+            if adj[y] != (ymasks[i] ^ 1 << y) | zmasks[i]:
                 return False
-    rest = sum(1 << v for v in dec.rest)
-    return (_is_complete_mask(adj, sum(zmasks), rest)
-            and _is_anticomplete_mask(adj, sum(ymasks), rest))
+        for z in st.stable_parts[i]:
+            if adj[z] & ~ys != (zs ^ zmasks[i]) | rest:
+                return False
+    return True

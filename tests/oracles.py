@@ -320,6 +320,36 @@ def exhaustive_candled(g):
     return None
 
 
+def oracle_verify_candled(g, dec):
+    """Decide from the definition, pair of parts by pair of parts, whether a
+    well-shaped dec (parts and rest partition g) is a candled decomposition:
+    each Y_i a clique complete to Z_i, each Z_i stable, distinct Y's
+    anticomplete, distinct Z's complete, Y_i anticomplete to Z_j for j != i,
+    the base complete to the rest and the Y's anticomplete to it."""
+    ys, zs = dec.candelabrum.clique_parts, dec.candelabrum.stable_parts
+
+    def complete(a, b):
+        return all(g.has_edge(u, v) for u in a for v in b)
+
+    def anticomplete(a, b):
+        return not any(g.has_edge(u, v) for u in a for v in b)
+
+    if not all(g.has_edge(u, v) for y in ys for u, v in combinations(y, 2)):
+        return False
+    if not all(anticomplete(z, z) for z in zs):
+        return False
+    for i, (yi, zi) in enumerate(zip(ys, zs)):
+        if not complete(yi, zi):
+            return False
+        for j in range(i + 1, len(ys)):
+            if not (anticomplete(yi, ys[j]) and complete(zi, zs[j])
+                    and anticomplete(yi, zs[j]) and anticomplete(ys[j], zi)):
+                return False
+    base = [v for z in zs for v in z]
+    candles = [v for y in ys for v in y]
+    return complete(base, dec.rest) and anticomplete(candles, dec.rest)
+
+
 def naive_matching_number(g):
     """Most pairwise disjoint edges of g, by trying edge sets largest first."""
     edges = g.edges()

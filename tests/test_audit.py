@@ -179,6 +179,10 @@ def test_audit_input_validation():
         U.audit(9)
     with pytest.raises(InputError):
         U.audit(4, graphs=["Dhc", "not graph6 at all"])
+    # an item that is not a string is named, not read as graph6
+    for item in (1, None, b"Bw"):
+        with pytest.raises(InputError, match="graph6 strings, got " + repr(item)):
+            U.audit(4, graphs=["Dhc", item])
     # an empty selection would pass vacuously
     for suites in ((), []):
         with pytest.raises(InputError, match="at least one suite"):

@@ -453,6 +453,33 @@ def test_package_raises_only_documented_errors():
     assert found == exceptions
 
 
+def _references(node, skip):
+    """Names read (as a name or an attribute) under node, outside the
+    function definition ``skip``."""
+    for child in ast.iter_child_nodes(node):
+        if child is skip:
+            continue
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        yield from _references(child, skip)
+
+
+def test_package_has_no_unused_private_functions():
+    # A module-level helper that nothing else in the package reads is dead
+    # code: a kernel whose last caller went must go with it.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(U.__file__).parent.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_"):
+                if not any(fn.name in _references(t, fn) for t in trees.values()):
+                    unused.append((name, fn.name))
+    assert unused == []
+
+
 def test_tree_recognizes_membership_once(monkeypatch):
     import uncluttered.decompose as D
     calls = []

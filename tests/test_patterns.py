@@ -79,6 +79,11 @@ def test_witness_validation_rejects_wrong_embeddings():
                 (0, 1, 2, 3, 5), (0, 1, 2, 3, 6), (-1, 1, 2, 3, 4),
                 (False, True, 2, 3, 4), (0.0, 1, 2, 3, 4)):
         assert not U.PatternWitness("fork", emb).holds_in(host), emb
+    # malformed witnesses are not witnesses: False, not an exception
+    assert not U.PatternWitness("fork", 5).holds_in(host)
+    assert not U.PatternWitness("fork", None).holds_in(host)
+    assert not U.PatternWitness("nope", (0, 1)).holds_in(host)
+    assert not U.PatternWitness(["fork"], w.embedding).holds_in(host)
 
 
 def test_has_induced_matches_the_naive_search(rng):

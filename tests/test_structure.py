@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -11,6 +13,7 @@ from uncluttered.structure import RootGraph, _candelabrum_on, is_line_graph_of_b
 from oracles import (
     compose_candled,
     exhaustive_candled,
+    oracle_verify_candled,
     oracle_candelabrum_with_base,
     oracle_is_candelabrum,
     random_candelabrum,
@@ -309,6 +312,29 @@ def test_verify_candled_rejects_corruption():
     ]
     for y, z, r in malformed:
         assert not U.verify_candled(g, U.CandledDecomposition(U.CandelabrumStructure(y, z), r))
+
+
+def test_verify_candled_agrees_with_the_pairwise_definition(uncluttered_census):
+    """On planted candled compositions, as built and with any one vertex
+    pair toggled, verify_candled accepts exactly what the pairwise check of
+    every candelabrum and candled condition accepts."""
+    rng = random.Random(11)
+    rests = [h for n in range(6) for h in uncluttered_census[n]]
+    accepted = cases = 0
+    for _ in range(150):
+        cand, ys, zs = random_candelabrum(rng, max_k=3, max_part=2)
+        rest = rests[rng.randrange(len(rests))]
+        g = compose_candled(rest, cand, [v for z in zs for v in z])
+        dec = U.CandledDecomposition(U.CandelabrumStructure(ys, zs),
+                                     tuple(range(cand.n, g.n)))
+        edges = set(g.edges())
+        for pair in [None, *itertools.combinations(range(g.n), 2)]:
+            h = Graph(g.n, edges ^ {pair}) if pair else g
+            want = oracle_verify_candled(h, dec)
+            assert U.verify_candled(h, dec) == want, (U.to_graph6(h), dec)
+            accepted += want
+            cases += 1
+    assert 0 < accepted < cases
 
 
 def test_candelabrum_on_matches_induce_and_relabel(census):
