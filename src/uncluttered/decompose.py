@@ -128,8 +128,6 @@ def _verify(g: Graph, cert: Certificate) -> bool:
     if case == "LINEGRAPH_TF":
         return isinstance(payload, RootGraph) and _is_triangle_free_root(g, payload)
     if case == "CANDLED":
-        if not isinstance(payload, CandledDecomposition):
-            return False
         return verify_candled(g, payload)
     return False
 

@@ -200,11 +200,14 @@ def _is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:
 def _component_masks(adj: tuple[int, ...], within: int, flip: int = 0) -> list[int]:
     """Components of the subgraph induced on ``within``, by smallest member.
 
-    Each row is read as ``adj[v] ^ flip``; with ``flip`` the full mask that
-    is the complement row (plus v itself, which the sweep already holds), so
-    the same sweep yields anticomponents without building a complement.
-    Each round ORs the rows of the frontier, the vertices reached last, and
-    keeps what is still unreached as the next frontier.
+    With ``flip`` set (callers pass the full mask) the sweep follows
+    non-edges, so it yields anticomponents without building a complement.
+    Each round reads the rows of the frontier, the vertices reached last,
+    and keeps what they newly reach as the next frontier.  For components
+    that is the unreached part of the OR of the rows.  For anticomponents a
+    vertex stays unreached only if it sees the whole frontier, so the round
+    ANDs the rows into ``common``, starting from the unreached vertices and
+    stopping as soon as it is empty, and reaches the rest.
     """
     left = within
     comps = []
@@ -212,12 +215,20 @@ def _component_masks(adj: tuple[int, ...], within: int, flip: int = 0) -> list[i
         frontier = comp = left & -left
         left ^= frontier
         while frontier and left:
-            new = 0
-            while frontier:
-                low = frontier & -frontier
-                new |= adj[low.bit_length() - 1] ^ flip
-                frontier ^= low
-            frontier = new & left
+            if flip:
+                common = left
+                while frontier and common:
+                    low = frontier & -frontier
+                    common &= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = left & ~common
+            else:
+                new = 0
+                while frontier:
+                    low = frontier & -frontier
+                    new |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = new & left
             comp |= frontier
             left ^= frontier
         comps.append(comp)

@@ -26,12 +26,17 @@ it, both polynomial in n.  Line graphs of triangle-free graphs are
 claw-free and diamond-free (Beineke 1970), and every neighbourhood in them
 is two anticomplete cliques, so on those shapes nothing is searched.
 
-Only a non-member pays for the ascending scan over 5-vertex subsets, and
-only in the parts whose searches hit; the least of their first witnesses
-is the lexicographically least witness of g, because the parts are
-disjoint.  The scan needs no pattern tables: a 5-vertex graph is a fork
-exactly when its degrees are {3,2,1,1,1} and an antifork exactly when they
-are {1,2,3,3,3}, and the least embedding is read off the fork's roles
+Only a non-member pays for the witness scan, and only in the parts whose
+searches hit; the least of their first witnesses is the lexicographically
+least witness of g, because the parts are disjoint.  The scan walks a
+part's 4-subsets in ascending order and never loops over a fifth vertex:
+a 64-entry table, indexed by the 4-set's six pair bits, lists the edge
+patterns to the four with which a fifth vertex completes a fork or an
+antifork, so the candidates above the fourth vertex are one mask and its
+least bit is the least fifth vertex.  The 5-subsets are thus met in
+lexicographic order.  A 5-vertex graph is a fork exactly when its degrees
+are {3,2,1,1,1} and an antifork exactly when they are {1,2,3,3,3}, which
+names the one found, and the least embedding is read off the fork's roles
 (centre, inner leaf, tail, two outer leaves), in the complement rows for an
 antifork.
 """
@@ -256,6 +261,23 @@ def _has_antifork(rows: tuple[int, ...] | list[int], spines: int) -> bool:
 _SIGNATURES = {(1, 1, 1, 2, 3): "fork", (1, 2, 3, 3, 3): "antifork"}
 
 
+# _FIFTH[code] lists the patterns p of a fifth vertex e's edges to four
+# vertices a < b < c < d under which the five induce a fork or an antifork.
+# Bits 0..5 of the code are the pairs ab, ac, bc, ad, bd, cd of the 4-set;
+# bit i of p says whether e sees the i-th of a, b, c, d.  8 of the 64 codes
+# have no pattern, and none has more than four.
+_FIFTH = (
+    (), (13, 14), (11, 14), (9,), (11, 13), (10,), (12,), (11, 13, 14),
+    (7, 14), (5,), (3,), (2, 4, 8), (), (1, 2, 7, 11), (1, 4, 7, 13), (6,),
+    (7, 13), (6,), (), (1, 2, 7, 11), (3,), (1, 4, 8), (2, 4, 7, 14), (5,),
+    (12,), (7, 13, 14), (1, 8, 11, 13), (10,), (2, 8, 11, 14), (9,), (), (4, 8),
+    (7, 11), (), (6,), (1, 4, 7, 13), (5,), (2, 4, 7, 14), (1, 2, 8), (3,),
+    (10,), (1, 8, 11, 13), (7, 11, 14), (12,), (4, 8, 13, 14), (), (9,), (2, 8),
+    (9,), (2, 8, 11, 14), (4, 8, 13, 14), (), (7, 11, 13), (12,), (10,), (1, 8),
+    (1, 2, 4), (3,), (5,), (2, 4), (6,), (1, 4), (1, 2), (),
+)
+
+
 def _fork_embedding(sub: tuple[int, ...], rows: list[int]) -> tuple[int, ...]:
     """Least embedding of the fork into the 5 vertices sub, whose rows within
     the subset induce one: (smaller outer leaf, centre, inner leaf, tail,
@@ -294,22 +316,37 @@ def _least_witness(adj: tuple[int, ...], part: int) -> tuple:
     """(subset, name, rows) for the first 5-subset of the vertices of
     ``part``, in lexicographic order, that induces a fork or an antifork,
     with the fork's rows within the subset (the complement's for an
-    antifork).  The caller has found that the part holds one."""
+    antifork).  The caller has found that the part holds one.
+
+    Walks the 4-subsets a < b < c < d in lexicographic order and never
+    loops over the fifth vertex: ``_FIFTH`` lists the edge patterns to
+    (a, b, c, d) that complete them, so the candidates for e are one mask
+    of the part's vertices above d, and its least bit is the least e.
+    """
     vs = _mask_to_tuple(part)
-    after = {v: vs[i + 1:] for i, v in enumerate(vs)}
-    for a, b, c, d in combinations(vs, 4):
-        m4 = 1 << a | 1 << b | 1 << c | 1 << d
-        e4 = ((adj[a] & m4).bit_count() + (adj[b] & m4).bit_count()
-              + (adj[c] & m4).bit_count() + (adj[d] & m4).bit_count()) // 2
-        for e in after[d]:
-            # a fork has 4 edges and an antifork 6; skip the rest unsorted
-            if e4 + (adj[e] & m4).bit_count() not in (4, 6):
+    k = len(vs)
+    # h <= k - 3 leaves room for d and e above c
+    for i, j, h in combinations(range(k - 2), 3):
+        a, b, c = vs[i], vs[j], vs[h]
+        ra, rb, rc = adj[a], adj[b], adj[c]
+        abc = ra >> b & 1 | (ra >> c & 1) << 1 | (rb >> c & 1) << 2
+        for d in vs[h + 1:k - 1]:
+            fifths = _FIFTH[abc | (ra >> d & 1) << 3 | (rb >> d & 1) << 4
+                            | (rc >> d & 1) << 5]
+            if not fifths:
                 continue
-            sub = (a, b, c, d, e)
-            m = m4 | 1 << e
-            rows = [adj[v] & m for v in sub]
-            name = _SIGNATURES.get(tuple(sorted([r.bit_count() for r in rows])))
-            if name is not None:
+            rd = adj[d]
+            es = 0
+            for p in fifths:
+                es |= ((ra if p & 1 else ~ra) & (rb if p & 2 else ~rb)
+                       & (rc if p & 4 else ~rc) & (rd if p & 8 else ~rd))
+            es &= part >> d + 1 << d + 1
+            if es:
+                low = es & -es
+                sub = (a, b, c, d, low.bit_length() - 1)
+                m = 1 << a | 1 << b | 1 << c | 1 << d | low
+                rows = [adj[v] & m for v in sub]
+                name = _SIGNATURES[tuple(sorted([r.bit_count() for r in rows]))]
                 if name == "antifork":
                     rows = [m & ~r & ~(1 << v) for v, r in zip(sub, rows)]
                 return sub, name, rows
@@ -331,11 +368,11 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
     crowded spines decide it, since a fork's centre and both ends of an
     antifork's diamond spine are crowded.  Only a non-member pays for the
     witness scan, and only in the parts that hold a fork or antifork: the
-    witness comes from the first 5-subset, in ascending order, whose sorted
-    in-subset degrees are a fork's or an antifork's, least over those
-    parts, so it is deterministic; the embedding is read off the fork's
-    roles (in the complement within the subset for an antifork) and is the
-    least one.
+    witness comes from the first 5-subset, in ascending order, that induces
+    one, least over those parts, so it is deterministic.  The scan walks
+    4-subsets and reads each one's least fifth vertex off one mask (see
+    _least_witness); the embedding is read off the fork's roles (in the
+    complement within the subset for an antifork) and is the least one.
     """
     if g.n < 5:
         return None

@@ -289,20 +289,25 @@ def detect_candled(g: Graph) -> CandledDecomposition | None:
 def verify_candled(g: Graph, dec: CandledDecomposition) -> bool:
     """Recheck a candled decomposition from scratch against g.
 
-    Malformed shapes (unequal part counts, empty or overlapping parts,
-    vertices that are not ints in range, parts and rest not covering g)
-    give False.  Then, with Y and Z the unions of the clique and stable
-    parts and R the rest, each y in Y_i must see exactly (Y_i - y) | Z_i,
-    and each z in Z_i exactly (Z - Z_i) | R outside Y.  Rows are symmetric,
-    so these two row equalities are exactly the candelabrum and candled
-    conditions.
+    Malformed shapes (a field that is not the named tuple, tuple or list it
+    should be, unequal part counts, empty or overlapping parts, vertices
+    that are not ints in range, parts and rest not covering g) give False.
+    Then, with Y and Z the unions of the clique and stable parts and R the
+    rest, each y in Y_i must see exactly (Y_i - y) | Z_i, and each z in Z_i
+    exactly (Z - Z_i) | R outside Y.  Rows are symmetric, so these two row
+    equalities are exactly the candelabrum and candled conditions.
     """
-    st = dec.candelabrum
+    st = dec.candelabrum if isinstance(dec, CandledDecomposition) else None
+    if not (isinstance(st, CandelabrumStructure)
+            and all(isinstance(seq, (tuple, list)) for seq in (*st, dec.rest))):
+        return False
     k = len(st.clique_parts)
     parts = (*st.clique_parts, *st.stable_parts)
-    vs = (*st.vertex_set, *dec.rest)
-    if (k == 0 or len(parts) != 2 * k or not all(parts)
-            or not all(type(v) is int for v in vs) or sorted(vs) != list(range(g.n))):
+    if (k == 0 or len(parts) != 2 * k
+            or not all(isinstance(p, (tuple, list)) and p for p in parts)):
+        return False
+    vs = (*(v for p in parts for v in p), *dec.rest)
+    if not all(type(v) is int for v in vs) or sorted(vs) != list(range(g.n)):
         return False
     ymasks = [sum(1 << v for v in p) for p in st.clique_parts]
     zmasks = [sum(1 << v for v in p) for p in st.stable_parts]

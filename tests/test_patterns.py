@@ -160,6 +160,24 @@ def test_uncluttered_agrees_with_subset_scan_on_every_labelled_five_vertex_graph
     assert forks == antiforks == 60
 
 
+def test_fifth_vertex_table_from_the_pattern_graphs():
+    """_FIFTH rebuilt from its definition: for each code of pairs among
+    a, b, c, d (bits ab, ac, bc, ad, bd, cd) and each pattern of a fifth
+    vertex's edges to them, the five vertices induce a fork or an
+    antifork exactly when the table lists the pattern."""
+    four_pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    fork, antifork = U.pattern("fork"), U.pattern("antifork")
+    table = []
+    for code in range(64):
+        pairs = [e for i, e in enumerate(four_pairs) if code >> i & 1]
+        table.append(tuple(
+            p for p in range(16)
+            if any(naive_has_induced(q, Graph(5, pairs + [(i, 4) for i in range(4) if p >> i & 1]))
+                   for q in (fork, antifork))))
+    assert P._FIFTH == tuple(table)
+    assert sum(map(bool, table)) == 56 and max(map(len, table)) == 4
+
+
 def test_uncluttered_agrees_with_subset_scan_on_random_graphs(rng):
     members = 0
     for _ in range(400):
@@ -211,6 +229,50 @@ def test_uncluttered_agrees_with_subset_scan_on_large_members(rng):
         if g.n < 64:
             near += not _agrees_with_subset_scan(_plus_one_vertex(rng, g))
     assert near >= len(members) // 2
+
+
+def _late_witness_near_member(rng, n):
+    """The line graph of a connected triangle-free root with n - 1 edges,
+    plus a pendant on a vertex x, labelled by descending BFS distance from
+    x.  The line graph is a member, so every witness holds the pendant and
+    x, whose label is the top one: the least witness comes late in the
+    scan."""
+    while True:
+        root = random_connected_triangle_free(rng, rng.randint(n // 3, n // 2))
+        if root.edge_count() >= n - 1:
+            break
+    # each edge taken from the end that a BFS of the root leaves first:
+    # every prefix of these edges is connected
+    edges, seen, queue = [], {0}, [0]
+    for i, u in enumerate(queue):
+        edges += [(u, w) for w in root.neighbors(u) if w not in queue[:i]]
+        queue += [w for w in root.neighbors(u) if w not in seen]
+        seen.update(root.neighbors(u))
+    line = U.line_graph(Graph(root.n, edges[:n - 1]))
+    x = rng.randrange(line.n)
+    g = Graph(n, line.edges() + [(x, n - 1)])
+    dist, queue = {x: 0}, [x]
+    for u in queue:
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    label = {v: i for i, v in enumerate(sorted(range(n), key=lambda v: (-dist[v], v)))}
+    return Graph(n, [(label[a], label[b]) for a, b in g.edges()])
+
+
+def test_uncluttered_agrees_with_subset_scan_on_late_witnesses(rng):
+    """Near-members whose every witness holds the top label, so the scan
+    passes many 5-subsets before the least one; up to 24 vertices, where
+    the oracle is affordable."""
+    near = 0
+    for _ in range(10):
+        g = _late_witness_near_member(rng, rng.randint(20, 24))
+        assert g.is_connected()
+        if not _agrees_with_subset_scan(g):
+            near += 1
+            assert max(U.is_uncluttered(g).embedding) == g.n - 1, U.to_graph6(g)
+    assert near >= 7, near
 
 
 def _connected_line_member(rng, max_n):

@@ -309,9 +309,15 @@ def test_verify_candled_rejects_corruption():
         (ys, zs, rest + (-1,)),
         (ys, zs, rest + (zs[0][0],)),                  # rest overlaps the body
         ((), (), tuple(range(8))),                     # no parts at all
+        ((1,), (2,), ()),                              # parts that are ints
+        (ys, zs, 5),                                   # a rest that is an int
+        (ys, None, rest),                              # a field that is None
     ]
+    # each gives False, not an exception
     for y, z, r in malformed:
         assert not U.verify_candled(g, U.CandledDecomposition(U.CandelabrumStructure(y, z), r))
+    assert not U.verify_candled(g, dec._replace(candelabrum=None))
+    assert not U.verify_candled(g, None)
 
 
 def test_verify_candled_agrees_with_the_pairwise_definition(uncluttered_census):
