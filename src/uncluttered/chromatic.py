@@ -336,28 +336,40 @@ def _compress(raw: list[int]) -> list[int]:
 # -- the constructive theorem colorer ----------------------------------------
 
 
-def _color_on(g: Graph, within: int, cols: list[int], base: int) -> tuple[int, int]:
+def _color_on(g: Graph, within: int, cols: list[int], base: int,
+              connected: bool = False, anticonnected: bool = False) -> tuple[int, int]:
     """Color g induced on ``within`` into ``cols`` with the palette
-    base..base+k-1 and return k and the clique number of that part."""
+    base..base+k-1 and return k and the clique number of that part.
+
+    ``connected`` and ``anticonnected`` say what the caller has proven of
+    the part, and skip the sweep that would only confirm it: a component is
+    connected and an anticomponent co-connected; removing a simplicial
+    vertex, whose neighbours form a clique, keeps a part connected; and
+    removing one of two nonadjacent twins keeps it connected and
+    co-connected, as the other twin takes its place in every path of g and
+    of the complement.
+    """
     if not within:
         return 0, 0
-    comps = _component_masks(g.adj, within)
-    if len(comps) > 1:
-        k = omega = 0
-        for part in comps:
-            kp, wp = _color_on(g, part, cols, base)
-            k, omega = max(k, kp), max(omega, wp)
-        return k, omega
-    anti = _component_masks(g.adj, within, g.full_mask)
-    if len(anti) > 1:
-        k = omega = 0
-        for part in anti:
-            kp, wp = _color_on(g, part, cols, base + k)
-            k, omega = k + kp, omega + wp
-        return k, omega
+    if not connected:
+        comps = _component_masks(g.adj, within)
+        if len(comps) > 1:
+            k = omega = 0
+            for part in comps:
+                kp, wp = _color_on(g, part, cols, base, True)
+                k, omega = max(k, kp), max(omega, wp)
+            return k, omega
+    if not anticonnected:
+        anti = _component_masks(g.adj, within, g.full_mask)
+        if len(anti) > 1:
+            k = omega = 0
+            for part in anti:
+                kp, wp = _color_on(g, part, cols, base + k, False, True)
+                k, omega = k + kp, omega + wp
+            return k, omega
     v = _simplicial_in(g.adj, within)
     if v is not None:
-        k, omega = _color_on(g, within & ~(1 << v), cols, base)
+        k, omega = _color_on(g, within & ~(1 << v), cols, base, True)
         near = g.adj[v] & within
         taken = {cols[w] for w in _mask_to_tuple(near)}
         c = base
@@ -368,7 +380,7 @@ def _color_on(g: Graph, within: int, cols: list[int], base: int) -> tuple[int, i
     pair = _nonadjacent_twins_in(g.adj, within)
     if pair is not None:
         u, v = pair
-        k, omega = _color_on(g, within & ~(1 << u), cols, base)
+        k, omega = _color_on(g, within & ~(1 << u), cols, base, True, True)
         cols[u] = cols[v]
         return k, omega
     h = g.induced(_mask_to_tuple(within))

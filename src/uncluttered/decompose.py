@@ -19,12 +19,11 @@ from typing import NamedTuple
 from .errors import InputError, NotUnclutteredError, TheoremViolationError
 from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
 from .graphio import to_graph6
-from .modular import find_adjacent_simplicial_twins
+from .modular import _anti_simplicial_twins, find_adjacent_simplicial_twins
 from .patterns import PatternWitness, is_uncluttered
 from .structure import (
     CandelabrumStructure,
     CandledDecomposition,
-    RootGraph,
     _is_triangle_free_root,
     detect_candled,
     recognize_line_graph_triangle_free,
@@ -59,36 +58,39 @@ def _member_case(g: Graph) -> Certificate:
     """classify for a graph already known to be uncluttered.
 
     Each case is tried on g and then on its complement, whose hit is named
-    with the ANTI_ prefix; the complement is built only once g is known to
-    be connected.
+    with the ANTI_ prefix.  The first two complement probes read g's own
+    rows: anticomponents come from the flipped sweep, and the complement's
+    adjacent simplicial twins are g's nonadjacent twins whose shared
+    non-neighbourhood is stable.  The complement is built only for the line
+    and candled probes.
     """
     if g.n <= 1:
         return Certificate("SMALL", None)
+    adj, full = g.adj, g.full_mask
+    for case, flip in (("DISCONNECTED", 0), ("ANTI_DISCONNECTED", full)):
+        comps = _component_masks(adj, full, flip)
+        if len(comps) > 1:
+            # From a list, not a bare iterator, which tuple() over-allocates.
+            return Certificate(case, tuple([_mask_to_tuple(m) for m in comps]))
+    pair = find_adjacent_simplicial_twins(g)
+    if pair is not None:
+        return Certificate("SIMPLICIAL_TWINS", pair)
+    pair = _anti_simplicial_twins(g)
+    if pair is not None:
+        return Certificate("ANTI_SIMPLICIAL_TWINS", pair)
     gc = None
-    for case in _CASES:
-        payload = _find(case, g)
+    for case, find in (("LINEGRAPH_TF", recognize_line_graph_triangle_free),
+                       ("CANDLED", detect_candled)):
+        payload = find(g)
         if payload is not None:
             return Certificate(case, payload)
         if gc is None:
             gc = g.complement()
-        payload = _find(case, gc)
+        payload = find(gc)
         if payload is not None:
             return Certificate("ANTI_" + case, payload)
     raise TheoremViolationError(
         f"uncluttered graph {to_graph6(g)!r} matched no decomposition case")
-
-
-def _find(case: str, h: Graph) -> object:
-    """Evidence that h is in the base case, or None."""
-    if case == "DISCONNECTED":
-        comps = _component_masks(h.adj, h.full_mask)
-        # From a list, not a bare iterator, which tuple() over-allocates.
-        return tuple([_mask_to_tuple(m) for m in comps]) if len(comps) > 1 else None
-    if case == "SIMPLICIAL_TWINS":
-        return find_adjacent_simplicial_twins(h)
-    if case == "LINEGRAPH_TF":
-        return recognize_line_graph_triangle_free(h)
-    return detect_candled(h)
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
@@ -126,7 +128,7 @@ def _verify(g: Graph, cert: Certificate) -> bool:
         row = g.adj[u] | 1 << u
         return g.adj[v] | 1 << v == row and _is_clique_mask(g.adj, row)
     if case == "LINEGRAPH_TF":
-        return isinstance(payload, RootGraph) and _is_triangle_free_root(g, payload)
+        return _is_triangle_free_root(g, payload)
     if case == "CANDLED":
         return verify_candled(g, payload)
     return False

@@ -100,7 +100,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     @property
     def full_mask(self) -> int:

@@ -33,9 +33,13 @@ def _closure_mask(g: Graph, seed: int) -> int:
 
 def _simplicial_in(adj: tuple[int, ...], within: int) -> int | None:
     """Least vertex of ``within`` whose neighbours inside it form a clique."""
-    for v in _mask_to_tuple(within):
+    m = within
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
         if _is_clique_mask(adj, adj[v] & within):
             return v
+        m ^= low
     return None
 
 
@@ -78,6 +82,23 @@ def find_adjacent_simplicial_twins(g: Graph) -> tuple[int, int] | None:
     for twins in _row_classes(closed, g.full_mask):
         if twins & twins - 1 and _is_clique_mask(g.adj, closed[twins.bit_length() - 1]):
             return _mask_to_tuple(twins)[:2]
+    return None
+
+
+def _anti_simplicial_twins(g: Graph) -> tuple[int, int] | None:
+    """find_adjacent_simplicial_twins of g's complement, read off g.
+
+    The complement's closed rows are g's non-neighbourhoods, so its
+    adjacent twins are g's nonadjacent twins, grouped in the same order,
+    and its closed row is a clique exactly when that non-neighbourhood,
+    twins included, is stable in g.
+    """
+    adj, full = g.adj, g.full_mask
+    for twins in _row_classes(adj, full):
+        if twins & twins - 1:
+            far = full & ~adj[twins.bit_length() - 1]
+            if not any(adj[v] & far for v in _mask_to_tuple(far)):
+                return _mask_to_tuple(twins)[:2]
     return None
 
 

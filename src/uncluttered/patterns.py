@@ -15,16 +15,18 @@ Membership works on each such part with at least five vertices, reading the
 part's rows in whichever of g and its complement has fewer edges within the
 part: the class is closed under complementation, because a fork of the
 complement is an antifork of g.  So nothing walks a dense part, and no
-complement of g is built.  One pass over the part's neighbourhoods finds its
-crowded vertices, those whose neighbourhood is not a disjoint union of at
-most two cliques.  Only they can anchor a pattern: a fork's centre has three
-pairwise nonadjacent neighbours, and each end of an antifork's diamond
-spine sees an induced path of length two.  A part with no crowded vertex is
-a member at once; otherwise one bitset fork search, over the crowded
-centres, and one bitset antifork search, over the crowded spines, decide
-it, both polynomial in n.  Line graphs of triangle-free graphs are
-claw-free and diamond-free (Beineke 1970), and every neighbourhood in them
-is two anticomplete cliques, so on those shapes nothing is searched.
+complement of g is built.  A vertex is crowded when its neighbourhood is
+not a disjoint union of at most two cliques, and only crowded vertices can
+anchor a pattern: a fork's centre has three pairwise nonadjacent
+neighbours, and each end of an antifork's diamond spine sees an induced
+path of length two.  A part with no crowded vertex is a member at once.
+Those parts are the claw- and diamond-free ones, exactly the line graphs of
+triangle-free graphs (Beineke 1970; Harary and Holzmann 1974), so the
+Krausz walk that recovers their roots (structure._krausz) decides them in
+O(n) with three checks on the cliques it finds (_is_line_part).  Only a
+part the walk rejects gets the O(m) pass that finds its crowded vertices,
+then one bitset fork search, over the crowded centres, and one bitset
+antifork search, over the crowded spines, both polynomial in n.
 
 Only a non-member pays for the witness scan, and only in the parts whose
 searches hit; the least of their first witnesses is the lexicographically
@@ -48,6 +50,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
+from .structure import _krausz
 
 PATTERN_NAMES = ("fork", "antifork", "claw", "anticlaw", "diamond",
                  "bull", "net", "antinet", "P4", "triangle")
@@ -143,6 +146,42 @@ def _place(p: Graph, host: Graph, pdeg: list[int], image: list[int],
 def has_induced(g: Graph, name: str) -> bool:
     """True iff the named pattern embeds in g as an induced subgraph."""
     return find_induced(pattern(name), g) is not None
+
+
+def _is_line_part(rows: tuple[int, ...] | list[int], part: int) -> bool:
+    """True iff no vertex of ``part`` is crowded (see _crowded), read off
+    the Krausz walk (structure._krausz) with three checks.
+
+    The walk gives each vertex at most two masks, each its closed
+    neighbourhood met with one neighbour's.  The part passes when
+      (1) each mask is claimed by exactly its members, so it is a clique,
+          and N(v) is covered by v's two;
+      (2) no two vertices claim the same two cliques, so v's two cliques
+          meet only in v;
+      (3) no three cliques pairwise meet, so no edge joins v's two
+          cliques: its ends would share a third, meeting both.
+    Then every N(v) is at most two anticomplete cliques.  Conversely, in a
+    claw- and diamond-free part the masks are the maximal cliques, and all
+    three hold.  A vertex claims only masks holding it, so (1) is one
+    count; given (1), (2) and (3) are the multi-edges and triangles of the
+    root whose vertices are the cliques, each found as its last edge is
+    added.
+    """
+    walk = _krausz(rows, part)
+    if walk is None:
+        return False
+    number, cover = walk
+    if sum(map(int.bit_count, number)) != sum(map(len, cover)):
+        return False
+    root = [0] * len(number)
+    for ends in cover:
+        if len(ends) == 2:
+            a, b = ends
+            if root[b] & (root[a] | 1 << a):
+                return False
+            root[a] |= 1 << b
+            root[b] |= 1 << a
+    return True
 
 
 def _crowded(rows: tuple[int, ...] | list[int], part: int) -> int:
@@ -361,12 +400,14 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
     with k >= 5 vertices is decided on the rows of g within it, or on the
     complement's rows within it when it has more than k(k-1)/4 edges;
     since a fork of the complement is an antifork of g, the two decide the
-    same question, and no complement of g is built.  One pass finds the
-    part's crowded vertices, whose neighbourhoods are not a disjoint union
-    of at most two cliques.  A part without any is a member; otherwise one
-    fork search over the crowded centres and one antifork search over the
-    crowded spines decide it, since a fork's centre and both ends of an
-    antifork's diamond spine are crowded.  Only a non-member pays for the
+    same question, and no complement of g is built.  A vertex is crowded
+    when its neighbourhood is not a disjoint union of at most two cliques.
+    A part with no crowded vertex is a member, and the Krausz walk finds
+    those parts in O(n) (_is_line_part).  On a part it rejects, one pass
+    finds the crowded vertices, and one fork search over the crowded
+    centres and one antifork search over the crowded spines decide it,
+    since a fork's centre and both ends of an antifork's diamond spine are
+    crowded.  Only a non-member pays for the
     witness scan, and only in the parts that hold a fork or antifork: the
     witness comes from the first 5-subset, in ascending order, that induces
     one, least over those parts, so it is deterministic.  The scan walks
@@ -385,9 +426,11 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
         else:
             rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(adj)]
         k = part.bit_count()
-        if 2 * sum(r.bit_count() for r in rows) > k * (k - 1):
+        if 2 * sum(map(int.bit_count, rows)) > k * (k - 1):
             rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
                     for v, r in enumerate(rows)]
+        if _is_line_part(rows, part):
+            continue
         crowded = _crowded(rows, part)
         if crowded and (_has_fork(rows, crowded) or _has_antifork(rows, crowded)):
             found = _least_witness(adj, part)

@@ -10,15 +10,19 @@ else.
 For line graphs the only roots this package ever needs are triangle-free.
 Their line graphs are exactly the graphs with no induced claw and no induced
 diamond, and on those the Krausz cliques K(u,v) = {u, v} + (N(u) & N(v))
-partition the edges with every vertex in at most two of them.  Recognition
-collects each vertex's cliques K(w,v), numbers the distinct ones as root
-vertices in the order first met, which on a line graph is their
-lexicographic order (Krausz 1943; Roussopoulos 1973), and keeps the root
-only if it is triangle-free and verify_root maps g onto its line graph, so
-every root returned proves its own claim.  line_graph and verify_root share
-one kernel: each root vertex holds an incidence mask of its edges, and an
-edge's row is the OR of its two endpoints' masks.  The test suite checks
-that the roots appear exactly on the claw- and diamond-free graphs.
+partition the edges with every vertex in at most two of them.  One walk,
+_krausz, collects each vertex's cliques K(w,v) over a vertex mask and
+numbers the distinct ones in the order first met, which on a line graph is
+their lexicographic order (Krausz 1943; Roussopoulos 1973).  Recognition
+takes them as root vertices and keeps the root only if verify_root maps g
+onto its line graph and no mapped edge closes a triangle, so every root
+returned proves its own claim; membership (patterns._is_line_part) runs the
+same walk on a part's rows and checks the cliques instead of building a
+root.  Each root vertex holds an incidence mask of its edges, and an edge's
+row is the OR of its two endpoints' masks: line_graph builds rows so, and
+verify_root checks each host row against the masks of the edges before it,
+in one loop.  The test suite checks that the roots appear exactly on the
+claw- and diamond-free graphs.
 
 A candelabrum is forced by any one clique-part vertex, and a candled split
 by its rest, so recognition builds one split per closed-twin class and
@@ -64,28 +68,24 @@ def is_triangle_free(g: Graph):
     return None
 
 
-def _line_rows(edges, n_root: int) -> list[int]:
-    """Line-graph rows of these root edges, in list order.
+def line_graph(h: Graph) -> Graph:
+    """Graph on the edges of h, adjacent when they share an endpoint.
 
     Each root vertex gets an incidence mask of the edges at it, so edge w sees
     every edge that shares an endpoint with it in one OR of two masks.
     """
-    at = [0] * n_root
-    for w, (a, b) in enumerate(edges):
-        at[a] |= 1 << w
-        at[b] |= 1 << w
-    return [(at[a] | at[b]) & ~(1 << w) for w, (a, b) in enumerate(edges)]
-
-
-def line_graph(h: Graph) -> Graph:
-    """Graph on the edges of h, adjacent when they share an endpoint."""
     edges = h.edges()
     if not edges:
         raise InputError("line graph of an edgeless graph is undefined here")
     m = len(edges)
     if m > MAX_VERTICES:
         raise InputError(f"line graph would have {m} vertices, above {MAX_VERTICES}")
-    return Graph.from_rows(tuple(_line_rows(edges, h.n)))
+    at = [0] * h.n
+    for w, (a, b) in enumerate(edges):
+        at[a] |= 1 << w
+        at[b] |= 1 << w
+    return Graph.from_rows(tuple([(at[a] | at[b]) & ~(1 << w)
+                                  for w, (a, b) in enumerate(edges)]))
 
 
 class RootGraph(NamedTuple):
@@ -102,56 +102,111 @@ def verify_root(g: Graph, rg: RootGraph) -> bool:
     """Recheck that rg.edge_map is an isomorphism from g to line_graph(root).
 
     The map must hold g.n distinct root edges, each a pair of int vertices,
-    and the root exactly g.n edges; then the line-graph rows of the mapped edges must be g's rows.
-    Works on edgeless and empty hosts too.
+    and the root exactly g.n edges; then the line-graph rows of the mapped
+    edges must be g's rows.  Malformed shapes (rg not a RootGraph, a root
+    that is not a Graph, a map or an entry that is not a sequence of the
+    right length) give False.  Works on edgeless and empty hosts too.
+
+    One loop builds the root vertices' incidence masks and checks host
+    vertex w before adding it: the edges before w at either end of its edge
+    must be exactly g's neighbours of w below w, and no edge before w may
+    have both ends.  Both sides are symmetric, so lower triangles suffice.
     """
-    root, edge_map = rg.root, rg.edge_map
-    if len(edge_map) != g.n:
+    if not isinstance(rg, RootGraph):
         return False
-    rows, n = root.adj, root.n
-    for a, b in edge_map:
-        if not (type(a) is type(b) is int and 0 <= a < b < n and rows[a] >> b & 1):
-            return False
-    return (len(set(map(tuple, edge_map))) == g.n and root.edge_count() == g.n
-            and tuple(_line_rows(edge_map, n)) == g.adj)
+    root, edge_map = rg
+    if not (isinstance(root, Graph) and isinstance(edge_map, (tuple, list))
+            and len(edge_map) == g.n):
+        return False
+    rows, n, adj = root.adj, root.n, g.adj
+    at = [0] * n
+    low = 1
+    try:
+        for w, (a, b) in enumerate(edge_map):
+            if not (type(a) is type(b) is int and 0 <= a < b < n and rows[a] >> b & 1):
+                return False
+            ia, ib = at[a], at[b]
+            if ia & ib or ia | ib != adj[w] & low - 1:
+                return False
+            at[a] = ia | low
+            at[b] = ib | low
+            low <<= 1
+    except (TypeError, ValueError):  # an entry that is not a pair
+        return False
+    return root.edge_count() == g.n
 
 
 def _is_triangle_free_root(g: Graph, rg: RootGraph) -> bool:
-    """rg proves that g is the line graph of a triangle-free graph."""
-    return is_triangle_free(rg.root) is None and verify_root(g, rg)
+    """rg proves that g is the line graph of a triangle-free graph: once
+    verify_root accepts, the map holds every root edge, so the root is
+    triangle-free exactly when no mapped edge's ends share a neighbour."""
+    if not verify_root(g, rg):
+        return False
+    rows = rg.root.adj
+    for a, b in rg.edge_map:
+        if rows[a] & rows[b]:
+            return False
+    return True
+
+
+def _krausz(rows: tuple[int, ...] | list[int],
+            part: int) -> tuple[dict[int, int], list[list[int]]] | None:
+    """The Krausz walk over the vertices of ``part``, in ascending order:
+    (numbers, cover), or None once a vertex meets a third clique.
+
+    Each vertex w takes the clique K(w,v) = {w, v} + (N(w) & N(v)) of its
+    least neighbour v, then that of its least neighbour outside the first,
+    and any neighbour outside both is a third clique.  Each distinct clique
+    mask is numbered in ``numbers`` when first met, and ``cover`` lists,
+    per vertex of ``part``, the numbers of its at most two cliques in the
+    order met.  Unchecked: on a graph that is not a line graph the masks
+    need not be cliques nor the cover consistent.
+    """
+    number: dict[int, int] = {}
+    cover: list[list[int]] = []
+    m = part
+    while m:
+        low_w = m & -m
+        m ^= low_w
+        row = rows[low_w.bit_length() - 1]
+        if not row:
+            cover.append([])
+            continue
+        low = row & -row
+        first = row & rows[low.bit_length() - 1] | low | low_w
+        rest = row & ~first
+        if not rest:
+            cover.append([number.setdefault(first, len(number))])
+            continue
+        low = rest & -rest
+        second = row & rows[low.bit_length() - 1] | low | low_w
+        if rest & ~second:
+            return None
+        cover.append([number.setdefault(first, len(number)),
+                      number.setdefault(second, len(number))])
+    return number, cover
 
 
 def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
     """Root reconstruction for line graphs of triangle-free graphs.
 
     Returns None iff g is not the line graph of any triangle-free graph.
-    Each host vertex w collects its Krausz cliques K(w,v) = {w, v} +
-    (N(w) & N(v)), one per neighbour v outside those already found, and a
-    third clique rejects g at once.  Each distinct clique is numbered when
-    first met; these are the first root vertices, and a vertex in one
+    The walk (_krausz) gives each host vertex w its Krausz cliques
+    K(w,v) = {w, v} + (N(w) & N(v)), one per neighbour v outside those
+    already found, and rejects g at a third.  The distinct cliques,
+    numbered when first met, are the first root vertices; a vertex in one
     clique gets a pendant root vertex and an isolated vertex a private root
     edge.  On a line graph of a triangle-free root each clique is first met
     at its least vertex, and two cliques met at one vertex in order of
     their second vertex, so the numbers follow the lexicographic order of
     the cliques and each vertex's two numbers ascend.  The root is kept
-    only if it is triangle-free and verify_root accepts it, which also
-    rejects two host vertices on one root edge and any other input.
+    only if verify_root accepts it, which also rejects two host vertices on
+    one root edge and any other input, and it is triangle-free.
     """
-    adj = g.adj
-    number: dict[int, int] = {}
-    cover: list[list[int]] = []
-    for w in range(g.n):
-        row = adj[w]
-        ends: list[int] = []
-        m = row
-        while m:
-            if len(ends) == 2:
-                return None
-            low = m & -m
-            clique = row & adj[low.bit_length() - 1] | low | 1 << w
-            ends.append(number.setdefault(clique, len(number)))
-            m &= ~clique
-        cover.append(ends)
+    walk = _krausz(g.adj, g.full_mask)
+    if walk is None:
+        return None
+    number, cover = walk
     # Root vertices: one per clique, then pendants and isolated-edge ends.
     # A root may exceed the host's 64-vertex cap (a path on 64 vertices has
     # a 65-vertex root), so its rows are built here and wrapped directly.

@@ -8,6 +8,7 @@ from uncluttered import Graph, InputError, NotUnclutteredError
 
 import uncluttered.chromatic as C
 from uncluttered.chromatic import _compress, _cover_colors, _max_matching
+from uncluttered.graph import _mask_to_tuple
 
 from oracles import (
     compose_candled,
@@ -363,4 +364,30 @@ def test_color_uncluttered_runs_no_clique_search(uncluttered_census, rng, monkey
     expected = [U.color_uncluttered(g) for g in graphs]
     monkeypatch.setattr(U.chromatic, "clique_number", refuse)
     monkeypatch.setattr(U.chromatic, "max_clique", refuse)
+    assert [U.color_uncluttered(g) for g in graphs] == expected
+
+
+def test_colorer_skips_only_sweeps_its_caller_has_proven(uncluttered_census, rng, monkeypatch):
+    """Each part the colorer is told is connected, or co-connected, is so;
+    and dropping those facts, so that every part is swept twice, gives the
+    same colorings on the census members and on large members."""
+    graphs = [g for n in range(8) for g in uncluttered_census[n]]
+    graphs += _large_members(rng, 30)
+    expected = [U.color_uncluttered(g) for g in graphs]
+    color_on = C._color_on
+    proven = {True: 0, False: 0}
+
+    def checking(g, within, cols, base, connected=False, anticonnected=False):
+        h = g.induced(_mask_to_tuple(within))
+        assert not connected or h.is_connected()
+        assert not anticonnected or h.is_anticonnected()
+        proven[connected] += 1
+        proven[anticonnected] += 1
+        return color_on(g, within, cols, base, connected, anticonnected)
+
+    monkeypatch.setattr(C, "_color_on", checking)
+    assert [U.color_uncluttered(g) for g in graphs] == expected
+    assert min(proven.values()) > 100, proven
+    monkeypatch.setattr(C, "_color_on", lambda g, within, cols, base, *proven:
+                        color_on(g, within, cols, base))
     assert [U.color_uncluttered(g) for g in graphs] == expected

@@ -10,7 +10,7 @@ import uncluttered as U
 from uncluttered import Certificate, Graph
 from uncluttered.decompose import certificate_json, tree_json
 
-from oracles import compose_candled, random_candelabrum
+from oracles import compose_candled, random_candelabrum, random_connected_triangle_free
 
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 4), (1, 4), (1, 2), (2, 3)])
 # SHA-256 of the certificate JSON of every census graph with n <= 7 and of
@@ -478,6 +478,35 @@ def test_package_has_no_unused_private_functions():
                 if not any(fn.name in _references(t, fn) for t in trees.values()):
                     unused.append((name, fn.name))
     assert unused == []
+
+
+def test_member_case_builds_the_complement_only_for_line_and_candled_probes(
+        uncluttered_census, rng, monkeypatch):
+    """No complement of g is built on a DISCONNECTED, ANTI_DISCONNECTED,
+    twin or LINEGRAPH_TF hit, and one for each later case."""
+    import uncluttered.decompose as D
+    graphs = [g for n in range(2, 8) for g in uncluttered_census[n]]
+    root = random_connected_triangle_free(rng, 24)
+    graphs += [U.line_graph(root), U.line_graph(root).complement(),
+               U.from_graph6("G?bF]{"),
+               U.decomposition_tree(U.from_graph6("LXIvnkA?n~{XG_")).children[0].graph]
+    certs = [U.classify(g) for g in graphs]
+    built = []
+    complement = Graph.complement
+
+    def counted(self):
+        built.append(self.n)
+        return complement(self)
+
+    monkeypatch.setattr(Graph, "complement", counted)
+    seen = set()
+    for g, cert in zip(graphs, certs):
+        built.clear()
+        assert D._member_case(g) == cert
+        early = D.CASE_ORDER.index(cert.case) < D.CASE_ORDER.index("ANTI_LINEGRAPH_TF")
+        assert built == ([] if early else [g.n]), (U.to_graph6(g), cert.case)
+        seen.add(cert.case)
+    assert seen == set(D.CASE_ORDER)
 
 
 def test_tree_recognizes_membership_once(monkeypatch):

@@ -1,7 +1,12 @@
 import uncluttered as U
 from uncluttered import Graph
 from uncluttered.graph import _mask_to_tuple
-from uncluttered.modular import _closure_mask, _nonadjacent_twins_in, _simplicial_in
+from uncluttered.modular import (
+    _anti_simplicial_twins,
+    _closure_mask,
+    _nonadjacent_twins_in,
+    _simplicial_in,
+)
 
 from oracles import exhaustive_candled, random_graph
 
@@ -130,6 +135,19 @@ def test_adjacent_simplicial_twins_are_what_they_claim(rng):
         assert nu == nv
         assert all(g.has_edge(a, b) for a in nu for b in nu if a < b)
     assert hits > 20
+
+
+def test_anti_simplicial_twins_are_the_complements_simplicial_twins(census, rng):
+    """Read off g's rows, the pair is the adjacent simplicial twins of g's
+    complement, on the census up to seven vertices and on random graphs."""
+    graphs = [g for n in range(8) for g in census[n]]
+    graphs += [random_graph(rng, rng.randint(2, 14), rng.random()) for _ in range(300)]
+    hits = 0
+    for g in graphs:
+        pair = _anti_simplicial_twins(g)
+        assert pair == U.find_adjacent_simplicial_twins(g.complement()), U.to_graph6(g)
+        hits += pair is not None
+    assert 100 < hits < len(graphs) - 100
 
 
 def test_prime_uncluttered_filter_implies_no_module(uncluttered_census):

@@ -6,7 +6,7 @@ import uncluttered as U
 from uncluttered import Graph, InputError
 import uncluttered.patterns as P
 from uncluttered.graph import _mask_to_tuple
-from uncluttered.patterns import _crowded, _has_antifork, _has_fork
+from uncluttered.patterns import _crowded, _has_antifork, _has_fork, _is_line_part
 
 from oracles import (
     compose_candled,
@@ -285,15 +285,17 @@ def _connected_line_member(rng, max_n):
 
 
 def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
-    """The crowded pass runs once on each connected, co-connected part with
-    at least five vertices, on the part's rows in whichever of g and its
-    complement has fewer edges within the part, both bitset searches run on
-    those rows over its mask when it is not empty, and no complement of g
-    is built.  A k = 1 candled member, Z joined to K_Y plus L(H), is
-    searched on its L(H) part alone; a small sparse member beside the
-    complement of a line graph is sparse as a whole, but its dense part is
-    searched on the complement's rows.  The last member has claw centres,
-    so the searches run on it."""
+    """The Krausz walk with its three checks runs once on each connected,
+    co-connected part with at least five vertices, on the part's rows in
+    whichever of g and its complement has fewer edges within the part.  The
+    crowded pass runs on the same rows exactly on the parts the walk
+    rejects, both bitset searches run on those rows over its mask when it
+    is not empty, and no complement of g is built.  A line graph, its
+    complement and a k = 1 candled member, Z joined to K_Y plus L(H), whose
+    one part is L(H), pass on the walk alone; a small sparse member beside
+    the complement of a line graph is sparse as a whole, but its dense part
+    is walked on the complement's rows.  The last member has claw centres,
+    so the walk rejects it and the searches run on it."""
     line = _line_graph_member(rng, 40)
     assert line.n >= 32
     cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
@@ -306,23 +308,31 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     small = _line_graph_member(rng, 11)
     beside = _shuffled(rng, U.disjoint_union(small, _connected_line_member(rng, 28).complement()))
     assert 4 * beside.edge_count() <= beside.n * (beside.n - 1)
-    passes = []  # (part, rows, crowded mask) of each crowded pass
-    searched = []  # (pass index, kernel) of each search
+    walks = []  # (part, rows, accepted) of each walk
+    passes = []  # (walk index, crowded mask) of each crowded pass
+    searched = []  # (walk index, kernel) of each search
     complements = []
     complement = Graph.complement
 
-    def recording_crowded(rows, part):
+    def recording_walk(rows, part):
         k = part.bit_count()
         assert 2 * sum(r.bit_count() for r in rows) <= k * (k - 1)
+        accepted = _is_line_part(rows, part)
+        walks.append((part, list(rows), accepted))
+        return accepted
+
+    def recording_crowded(rows, part):
+        last_part, last_rows, accepted = walks[-1]
+        assert part == last_part and list(rows) == last_rows and not accepted
         mask = _crowded(rows, part)
-        passes.append((part, list(rows), mask))
+        passes.append((len(walks) - 1, mask))
         return mask
 
     def recording(name, search):
         def wrapped(rows, mask):
-            _, last_rows, crowded = passes[-1]
-            assert list(rows) == last_rows and mask == crowded != 0
-            searched.append((len(passes) - 1, name))
+            i, crowded = passes[-1]
+            assert list(rows) == walks[i][1] and mask == crowded != 0
+            searched.append((i, name))
             return search(rows, mask)
         return wrapped
 
@@ -332,22 +342,30 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
 
     # a 4-cycle with a pendant on two adjacent vertices, both claw centres
     clawed = Graph(6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 5)])
-    inputs = [line, line.complement(), candled, candled1, beside, clawed]
+    co_line = line.complement()
+    inputs = [line, co_line, candled, candled1, beside, clawed]
+    monkeypatch.setattr(P, "_is_line_part", recording_walk)
     monkeypatch.setattr(P, "_crowded", recording_crowded)
     monkeypatch.setattr(P, "_has_fork", recording("fork", _has_fork))
     monkeypatch.setattr(P, "_has_antifork", recording("antifork", _has_antifork))
     monkeypatch.setattr(Graph, "complement", counted_complement)
     sparse = searches = 0
     for g in inputs:
+        walks.clear()
         passes.clear()
         searched.clear()
-        assert U.is_uncluttered(g) is None and passes
-        assert searched == [(i, name) for i, (_, _, mask) in enumerate(passes) if mask
+        assert U.is_uncluttered(g) is None and walks
+        assert [i for i, _ in passes] == [i for i, w in enumerate(walks) if not w[2]]
+        assert searched == [(i, name) for i, mask in passes if mask
                             for name in ("fork", "antifork")]
+        if g is line or g is co_line or g is candled1:
+            assert passes == []
+        if g is clawed:
+            assert passes and searched
         searches += len(searched)
-        parts = [part for part, _, _ in passes]
+        parts = [part for part, _, _ in walks]
         covered = 0
-        for part, rows, _ in passes:
+        for part, rows, _ in walks:
             assert not covered & part
             covered |= part
             h = g.induced(_mask_to_tuple(part))
@@ -442,6 +460,44 @@ def test_crowded_is_empty_on_line_graphs_of_triangle_free_roots(rng):
             c = g.complement()
             rows = [c.full_mask & ~r & ~(1 << v) for v, r in enumerate(c.adj)]
             assert _crowded(rows, c.full_mask) == 0, U.to_graph6(c)
+
+
+def _walk_agrees_with_crowded(g, part):
+    """The walk's verdict on g's rows within part, checked against the
+    crowded pass on the same rows."""
+    rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(g.adj)]
+    accepted = _is_line_part(rows, part)
+    assert accepted == (_crowded(rows, part) == 0), (U.to_graph6(g), part)
+    return accepted
+
+
+def test_krausz_walk_accepts_exactly_the_uncrowded_parts(census, rng):
+    """The Krausz walk with its three checks accepts a part exactly when the
+    crowded pass finds no vertex in it: on the census up to seven vertices
+    and its complements, on seeded random graphs over random parts, and on
+    shuffled line graphs of triangle-free roots with up to 64 vertices,
+    each also with one pair toggled."""
+    assert not _walk_agrees_with_crowded(U.pattern("diamond"), 15)
+    assert not _walk_agrees_with_crowded(U.pattern("claw"), 15)
+    assert _walk_agrees_with_crowded(U.complete_graph(4), 15)
+    seen = {True: 0, False: 0}
+    for n in range(8):
+        for g in census[n]:
+            for h in (g, g.complement()):
+                seen[_walk_agrees_with_crowded(h, h.full_mask)] += 1
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(5, 16), rng.random())
+        part = rng.getrandbits(g.n) if rng.random() < 0.5 else g.full_mask
+        seen[_walk_agrees_with_crowded(g, part)] += 1
+    toggled = {True: 0, False: 0}
+    for m in range(5, 65):
+        g = _shuffled(rng, _line_graph_member(rng, m))
+        assert _walk_agrees_with_crowded(g, g.full_mask)
+        for _ in range(2):
+            u, v = sorted(rng.sample(range(g.n), 2))
+            h = Graph(g.n, set(g.edges()) ^ {(u, v)})
+            toggled[_walk_agrees_with_crowded(h, h.full_mask)] += 1
+    assert min(seen.values()) >= 900 and min(toggled.values()) >= 5, (seen, toggled)
 
 
 def test_kernel_skips_keep_a_pattern_one_vertex_past_them(rng):

@@ -88,6 +88,11 @@ def test_verify_root_rejects_corruption():
     assert U.verify_root(U.complete_graph(2), RootGraph(p3, ([0, 1], [0, 1]))) is False
     assert not U.verify_root(U.complete_graph(2), RootGraph(p3, ((0, 1), (0, 2))))
     assert not U.verify_root(U.complete_graph(2), RootGraph(p3, ((0, 1), (2, 1))))
+    # malformed shapes give False: a 3-tuple edge, a None edge, an int edge
+    # map, a root of None, no RootGraph at all
+    for rg in (RootGraph(p3, ((0, 1, 2), (1, 2))), RootGraph(p3, (None, (1, 2))),
+               RootGraph(p3, 2), RootGraph(None, ((0, 1), (1, 2))), None):
+        assert U.verify_root(U.complete_graph(2), rg) is False
 
 
 def test_recognizer_round_trips_random_roots(rng):
