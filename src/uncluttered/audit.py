@@ -19,7 +19,7 @@ from .census import MAX_CENSUS_N, enumerate_graphs
 from .chromatic import _color_member, chromatic_number_exact, clique_number, is_proper_coloring
 from .decompose import ALL_CASES, classify, verify_certificate
 from .errors import InputError, TheoremViolationError
-from .graph import MAX_VERTICES, Graph, _is_clique_mask, _mask_to_tuple
+from .graph import MAX_VERTICES, Graph, _is_clique_mask, _iterate, _mask_to_tuple
 from .graphio import from_graph6, to_graph6
 from .modular import find_adjacent_simplicial_twins, find_nontrivial_homogeneous_set
 from .patterns import has_induced, is_uncluttered
@@ -134,7 +134,8 @@ def audit_one(g: Graph, suites: tuple[str, ...]) -> dict:
               and chi <= 2 * omega)
         if not ok:
             record["fails"].append("chi-bound")
-        record["ratio"] = (chi, omega)
+        if omega:  # chi/omega is undefined on the graph with no vertices
+            record["ratio"] = (chi, omega)
 
     if "diamond" in suites and n <= SUITE_CAPS["diamond"] and uncl and is_prime():
         record["checked"].append("diamond")
@@ -238,14 +239,17 @@ def audit(n_max: int, suites=None, graphs=None) -> AuditReport:
     ``graphs`` is an iterable of graph6 strings, each decoded once and still
     gated by the per-suite size caps; the report's n_max is then the largest
     vertex count scanned (0 for an empty stream).  ``suites`` (default: all)
-    must name at least one suite, and each only once.
+    is an iterable of suite names, not one string, and must name at least
+    one suite, and each only once.
     """
     t0 = time.monotonic()
-    suites = SUITE_NAMES if suites is None else tuple(suites)
+    if isinstance(suites, str):
+        raise InputError("suites must be an iterable of suite names, not one string")
+    suites = SUITE_NAMES if suites is None else tuple(_iterate(suites, "suites"))
     if not suites:
         raise InputError(f"audit needs at least one suite; known: {', '.join(SUITE_NAMES)}")
     for s in suites:
-        if s not in SUITE_CAPS:
+        if not isinstance(s, str) or s not in SUITE_CAPS:
             raise InputError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
         if suites.count(s) > 1:
             raise InputError(f"suite {s!r} is named more than once")
@@ -259,7 +263,7 @@ def audit(n_max: int, suites=None, graphs=None) -> AuditReport:
         work = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
     else:
         work = []
-        for line in graphs:
+        for line in _iterate(graphs, "graphs"):
             if not isinstance(line, str):
                 raise InputError(f"graphs must hold graph6 strings, got {line!r}")
             if line.strip():

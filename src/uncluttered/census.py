@@ -17,8 +17,7 @@ its orbit would give an isomorphic candidate that comes earlier.
 
 from __future__ import annotations
 
-from .errors import InputError
-from .graph import Graph, _automorphism_generators, invariant_key
+from .graph import Graph, _automorphism_generators, _vertex_count, invariant_key
 from .graphio import to_graph6
 
 # Known counts of graphs up to isomorphism for n = 0..8, used as a self-check
@@ -32,13 +31,7 @@ _cache: dict[int, tuple[Graph, ...]] = {}
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one per isomorphism class."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"vertex count must be an int, got {n!r}")
-    if n < 0:
-        raise InputError("vertex count must be nonnegative")
-    if n > MAX_CENSUS_N:
-        raise InputError(f"census capped at n <= {MAX_CENSUS_N}, got {n}")
-    if n in _cache:
+    if _vertex_count(n, MAX_CENSUS_N) in _cache:
         return _cache[n]
     if n == 0:
         reps: list[Graph] = [Graph(0)]

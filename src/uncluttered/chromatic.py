@@ -62,18 +62,22 @@ class EdgeColoring(NamedTuple):
 
 
 def is_proper_coloring(g: Graph, colors) -> bool:
-    if len(colors) != g.n:
+    """colors is a tuple or list of g.n int colors, and no edge joins two
+    vertices of one color; any other payload gives False."""
+    if not (isinstance(colors, (tuple, list)) and len(colors) == g.n
+            and all(type(c) is int for c in colors)):
         return False
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            return False
-    return True
+    return all(colors[u] != colors[v] for u, v in g.edges())
 
 
 def is_proper_edge_coloring(h: Graph, assignment: dict) -> bool:
-    """Every edge of h colored, and no two edges at a vertex share a color:
-    the (endpoint, color) pairs are then all distinct."""
-    if sorted(assignment) != h.edges():
+    """assignment maps each edge (a, b), a < b, of h to an int color, and no
+    two edges at a vertex share a color: the (endpoint, color) pairs are
+    then all distinct.  Any other payload gives False."""
+    if not (isinstance(assignment, dict)
+            and all(type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                    and type(c) is int for e, c in assignment.items())
+            and sorted(assignment) == h.edges()):
         return False
     return len({(x, c) for e, c in assignment.items() for x in e}) == 2 * len(assignment)
 

@@ -37,16 +37,29 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _vertex_count(n, cap: int = MAX_VERTICES) -> int:
+    """n itself when it is an int (not a bool) in 0..cap; else InputError."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"vertex count must be an int, got {n!r}")
+    if not 0 <= n <= cap:
+        raise InputError(f"vertex count {n} outside supported range 0..{cap}")
+    return n
+
+
+def _iterate(items, what: str):
+    """An iterator over items; InputError when items is not iterable."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {items!r}") from None
+
+
 class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InputError(f"vertex count must be an int, got {n!r}")
-        if not 0 <= n <= MAX_VERTICES:
-            raise InputError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
-        adj = [0] * n
-        for edge in edges:
+        adj = [0] * _vertex_count(n)
+        for edge in _iterate(edges, "edges"):
             try:
                 u, v = edge
             except (TypeError, ValueError):
@@ -126,7 +139,7 @@ class Graph:
         """
         n = self.n
         keep = 0
-        for v in vs:
+        for v in _iterate(vs, "vertices"):
             if type(v) is not int or not 0 <= v < n:
                 raise InputError(f"vertex {v!r} is not an int in range for n={n}")
             keep |= 1 << v
@@ -300,15 +313,15 @@ def edgeless_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, [(u, v) for u in range(_vertex_count(n)) for v in range(u + 1, n)])
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(_vertex_count(n) - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
+    if _vertex_count(n) < 3:
         raise InputError("cycles need at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 

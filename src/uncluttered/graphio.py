@@ -31,6 +31,8 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(line: str) -> Graph:
+    if not isinstance(line, str):
+        raise InputError(f"a graph6 line must be a string, got {line!r}")
     s = line.rstrip("\n")
     if not s:
         raise InputError("empty graph6 string")
@@ -76,6 +78,8 @@ def to_edge_list(g: Graph) -> str:
 
 
 def from_edge_list(text: str) -> Graph:
+    if not isinstance(text, str):
+        raise InputError(f"an edge list must be a string, got {text!r}")
     tokens = text.split()
     if not tokens:
         raise InputError("empty edge list")

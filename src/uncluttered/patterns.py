@@ -15,18 +15,16 @@ Membership works on each such part with at least five vertices, reading the
 part's rows in whichever of g and its complement has fewer edges within the
 part: the class is closed under complementation, because a fork of the
 complement is an antifork of g.  So nothing walks a dense part, and no
-complement of g is built.  A vertex is crowded when its neighbourhood is
-not a disjoint union of at most two cliques, and only crowded vertices can
-anchor a pattern: a fork's centre has three pairwise nonadjacent
-neighbours, and each end of an antifork's diamond spine sees an induced
-path of length two.  A part with no crowded vertex is a member at once.
-Those parts are the claw- and diamond-free ones, exactly the line graphs of
-triangle-free graphs (Beineke 1970; Harary and Holzmann 1974), so the
-Krausz walk that recovers their roots (structure._krausz) decides them in
-O(n) with three checks on the cliques it finds (_is_line_part).  Only a
-part the walk rejects gets the O(m) pass that finds its crowded vertices,
-then one bitset fork search, over the crowded centres, and one bitset
-antifork search, over the crowded spines, both polynomial in n.
+complement of g is built.  A part whose every neighbourhood is a disjoint
+union of at most two cliques is a member at once, since a fork's centre
+sees three pairwise nonadjacent vertices and each end of an antifork's
+diamond spine sees an induced path of length two.  Those parts are the
+claw- and diamond-free ones, exactly the line graphs of triangle-free
+graphs (Beineke 1970; Harary and Holzmann 1974), so the Krausz walk that
+recovers their roots (structure._krausz) decides them in O(n) with three
+checks on the cliques it finds (_is_line_part).  A part the walk rejects
+gets one bitset fork search and one bitset antifork search over all of its
+vertices, both polynomial in n.
 
 Only a non-member pays for the witness scan, and only in the parts whose
 searches hit; the least of their first witnesses is the lexicographically
@@ -72,7 +70,7 @@ _PATTERNS |= {name: _PATTERNS[of].complement() for name, of in _COMPLEMENTS.item
 def pattern(name: str) -> Graph:
     """The named pattern graph: one shared immutable Graph per name, built
     at import."""
-    g = _PATTERNS.get(name)
+    g = _PATTERNS.get(name) if isinstance(name, str) else None
     if g is None:
         raise InputError(f"unknown pattern name {name!r}")
     return g
@@ -149,8 +147,9 @@ def has_induced(g: Graph, name: str) -> bool:
 
 
 def _is_line_part(rows: tuple[int, ...] | list[int], part: int) -> bool:
-    """True iff no vertex of ``part`` is crowded (see _crowded), read off
-    the Krausz walk (structure._krausz) with three checks.
+    """True iff no vertex of ``part`` is crowded, read off the Krausz walk
+    (structure._krausz) with three checks.  A vertex is crowded when its
+    neighbourhood is not a disjoint union of at most two cliques.
 
     The walk gives each vertex at most two masks, each its closed
     neighbourhood met with one neighbour's.  The part passes when
@@ -182,40 +181,6 @@ def _is_line_part(rows: tuple[int, ...] | list[int], part: int) -> bool:
             root[a] |= 1 << b
             root[b] |= 1 << a
     return True
-
-
-def _crowded(rows: tuple[int, ...] | list[int], part: int) -> int:
-    """The vertices of ``part`` whose neighbourhood is not a disjoint union
-    of at most two cliques, in one walk over each N(v).
-
-    With u the least vertex of N(v), N(v) is such a union exactly when each
-    of its vertices has, within N(v), the closed neighbourhood of its own
-    side: N(v) & N[u], or the rest of N(v).  That holds for u by
-    definition, and for every N(v) of at most two vertices.  A fork's
-    centre is a claw's centre, with three pairwise nonadjacent neighbours,
-    and each end of an antifork's diamond spine x~y sees the other end's
-    two nonadjacent common neighbours, so every one of them is crowded.
-    """
-    crowded = 0
-    m = part
-    while m:
-        low_v = m & -m
-        m ^= low_v
-        nv = rows[low_v.bit_length() - 1]
-        rest = nv & (nv - 1)
-        if not rest & (rest - 1):
-            continue
-        low = nv & -nv
-        near = nv & rows[low.bit_length() - 1] | low
-        far = nv ^ near
-        w = rest
-        while w:
-            low = w & -w
-            w ^= low
-            if rows[low.bit_length() - 1] & nv | low != (near if low & near else far):
-                crowded |= low_v
-                break
-    return crowded
 
 
 def _has_fork(rows: tuple[int, ...] | list[int], centres: int) -> bool:
@@ -400,14 +365,12 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
     with k >= 5 vertices is decided on the rows of g within it, or on the
     complement's rows within it when it has more than k(k-1)/4 edges;
     since a fork of the complement is an antifork of g, the two decide the
-    same question, and no complement of g is built.  A vertex is crowded
-    when its neighbourhood is not a disjoint union of at most two cliques.
-    A part with no crowded vertex is a member, and the Krausz walk finds
-    those parts in O(n) (_is_line_part).  On a part it rejects, one pass
-    finds the crowded vertices, and one fork search over the crowded
-    centres and one antifork search over the crowded spines decide it,
-    since a fork's centre and both ends of an antifork's diamond spine are
-    crowded.  Only a non-member pays for the
+    same question, and no complement of g is built.  A part in which no
+    neighbourhood holds three pairwise nonadjacent vertices or an induced
+    path of length two has no fork centre and no antifork spine, so it is a
+    member, and the Krausz walk finds those parts in O(n) (_is_line_part).
+    A part it rejects is decided by one fork search and one antifork
+    search over all of its vertices.  Only a non-member pays for the
     witness scan, and only in the parts that hold a fork or antifork: the
     witness comes from the first 5-subset, in ascending order, that induces
     one, least over those parts, so it is deterministic.  The scan walks
@@ -431,8 +394,7 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
                     for v, r in enumerate(rows)]
         if _is_line_part(rows, part):
             continue
-        crowded = _crowded(rows, part)
-        if crowded and (_has_fork(rows, crowded) or _has_antifork(rows, crowded)):
+        if _has_fork(rows, part) or _has_antifork(rows, part):
             found = _least_witness(adj, part)
             if best is None or found[0] < best[0]:
                 best = found

@@ -89,6 +89,43 @@ def subset_scan_uncluttered(g):
     return None
 
 
+def crowded_mask(rows, part):
+    """The vertices of ``part`` whose neighbourhood is not a disjoint union
+    of at most two cliques, in one walk over each N(v).
+
+    With u the least vertex of N(v), N(v) is such a union exactly when each
+    of its vertices has, within N(v), the closed neighbourhood of its own
+    side: N(v) & N[u], or the rest of N(v).  That holds for u by
+    definition, and for every N(v) of at most two vertices.  A fork's
+    centre is a claw's centre, with three pairwise nonadjacent neighbours,
+    and each end of an antifork's diamond spine x~y sees the other end's
+    two nonadjacent common neighbours, so every one of them is crowded.
+    The tests check this mask against the claw centres and diamond spines
+    found by brute force, then use it as the reference for the Krausz walk
+    and as a narrower anchor mask for the fork and antifork kernels.
+    """
+    crowded = 0
+    m = part
+    while m:
+        low_v = m & -m
+        m ^= low_v
+        nv = rows[low_v.bit_length() - 1]
+        rest = nv & (nv - 1)
+        if not rest & (rest - 1):
+            continue
+        low = nv & -nv
+        near = nv & rows[low.bit_length() - 1] | low
+        far = nv ^ near
+        w = rest
+        while w:
+            low = w & -w
+            w ^= low
+            if rows[low.bit_length() - 1] & nv | low != (near if low & near else far):
+                crowded |= low_v
+                break
+    return crowded
+
+
 def _pairwise_adjacent(g, vs):
     return all(g.has_edge(a, b) for a, b in combinations(vs, 2))
 

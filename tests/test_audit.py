@@ -204,6 +204,17 @@ def test_audit_rejects_a_non_int_n_max_and_a_bare_string():
             U.audit(0, graphs=graphs)
     assert U.audit(0, graphs=["@"]).graphs_scanned == 1
 
+
+def test_audit_stream_skips_the_ratio_of_the_empty_graph():
+    """chi/omega is undefined on the graph with no vertices: it neither
+    hides a later ratio nor reaches the text report's division."""
+    r = U.audit(0, graphs=["?", "Dhc"])
+    assert (r.max_ratio, r.max_ratio_graph6) == ((3, 2), "Dhc")
+    assert "max chi/omega ratio: 3/2 = 1.5000 on Dhc" in r.to_text()
+    r = U.audit(0, graphs=["?"])
+    assert r.max_ratio is None and "ratio" not in r.to_text()
+
+
 # SHA-256 of audit(7).to_json(), all suites, taken before the audit ran on
 # decoded graphs and the chromatic oracle on colour-class masks.
 AUDIT_SEVEN_SHA256 = "eb13f2b2de61a247bcf560fb8a8ddeda8ada67026875294ecb16234b6e60d5e9"

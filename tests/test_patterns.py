@@ -6,10 +6,11 @@ import uncluttered as U
 from uncluttered import Graph, InputError
 import uncluttered.patterns as P
 from uncluttered.graph import _mask_to_tuple
-from uncluttered.patterns import _crowded, _has_antifork, _has_fork, _is_line_part
+from uncluttered.patterns import _has_antifork, _has_fork, _is_line_part
 
 from oracles import (
     compose_candled,
+    crowded_mask,
     naive_has_induced,
     random_candelabrum,
     random_connected_triangle_free,
@@ -136,10 +137,10 @@ def _kernels_agree_with_has_induced(g):
     fork = U.has_induced(g, "fork")
     antifork = U.has_induced(g, "antifork")
     gc = g.complement()
-    for mask in (_crowded(g.adj, g.full_mask), g.full_mask):
+    for mask in (crowded_mask(g.adj, g.full_mask), g.full_mask):
         assert _has_fork(g.adj, mask) == fork, U.to_graph6(g)
         assert _has_antifork(g.adj, mask) == antifork, U.to_graph6(g)
-    for mask in (_crowded(gc.adj, gc.full_mask), gc.full_mask):
+    for mask in (crowded_mask(gc.adj, gc.full_mask), gc.full_mask):
         assert _has_fork(gc.adj, mask) == antifork, U.to_graph6(g)
 
 
@@ -288,14 +289,14 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     """The Krausz walk with its three checks runs once on each connected,
     co-connected part with at least five vertices, on the part's rows in
     whichever of g and its complement has fewer edges within the part.  The
-    crowded pass runs on the same rows exactly on the parts the walk
-    rejects, both bitset searches run on those rows over its mask when it
-    is not empty, and no complement of g is built.  A line graph, its
-    complement and a k = 1 candled member, Z joined to K_Y plus L(H), whose
-    one part is L(H), pass on the walk alone; a small sparse member beside
-    the complement of a line graph is sparse as a whole, but its dense part
-    is walked on the complement's rows.  The last member has claw centres,
-    so the walk rejects it and the searches run on it."""
+    fork search and then the antifork search run once on each part the
+    walk rejects, on the walk's own rows and over the whole part, never
+    after a walk that accepts, and no complement of g is built.  A line
+    graph, its complement and a k = 1 candled member, Z joined to K_Y plus
+    L(H), whose one part is L(H), pass on the walk alone; a small sparse
+    member beside the complement of a line graph is sparse as a whole, but
+    its dense part is walked on the complement's rows.  The last member has
+    claw centres, so the walk rejects it and the searches run on it."""
     line = _line_graph_member(rng, 40)
     assert line.n >= 32
     cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
@@ -309,7 +310,6 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     beside = _shuffled(rng, U.disjoint_union(small, _connected_line_member(rng, 28).complement()))
     assert 4 * beside.edge_count() <= beside.n * (beside.n - 1)
     walks = []  # (part, rows, accepted) of each walk
-    passes = []  # (walk index, crowded mask) of each crowded pass
     searched = []  # (walk index, kernel) of each search
     complements = []
     complement = Graph.complement
@@ -321,18 +321,11 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
         walks.append((part, list(rows), accepted))
         return accepted
 
-    def recording_crowded(rows, part):
-        last_part, last_rows, accepted = walks[-1]
-        assert part == last_part and list(rows) == last_rows and not accepted
-        mask = _crowded(rows, part)
-        passes.append((len(walks) - 1, mask))
-        return mask
-
     def recording(name, search):
         def wrapped(rows, mask):
-            i, crowded = passes[-1]
-            assert list(rows) == walks[i][1] and mask == crowded != 0
-            searched.append((i, name))
+            part, last_rows, accepted = walks[-1]
+            assert list(rows) == last_rows and mask == part and not accepted
+            searched.append((len(walks) - 1, name))
             return search(rows, mask)
         return wrapped
 
@@ -345,23 +338,20 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     co_line = line.complement()
     inputs = [line, co_line, candled, candled1, beside, clawed]
     monkeypatch.setattr(P, "_is_line_part", recording_walk)
-    monkeypatch.setattr(P, "_crowded", recording_crowded)
     monkeypatch.setattr(P, "_has_fork", recording("fork", _has_fork))
     monkeypatch.setattr(P, "_has_antifork", recording("antifork", _has_antifork))
     monkeypatch.setattr(Graph, "complement", counted_complement)
     sparse = searches = 0
     for g in inputs:
         walks.clear()
-        passes.clear()
         searched.clear()
         assert U.is_uncluttered(g) is None and walks
-        assert [i for i, _ in passes] == [i for i, w in enumerate(walks) if not w[2]]
-        assert searched == [(i, name) for i, mask in passes if mask
+        assert searched == [(i, name) for i, w in enumerate(walks) if not w[2]
                             for name in ("fork", "antifork")]
         if g is line or g is co_line or g is candled1:
-            assert passes == []
+            assert searched == []
         if g is clawed:
-            assert passes and searched
+            assert searched
         searches += len(searched)
         parts = [part for part, _, _ in walks]
         covered = 0
@@ -405,10 +395,10 @@ def test_uncluttered_agrees_with_subset_scan_on_mixed_density_compositions(rng):
 
 
 def test_kernels_agree_with_has_induced_on_relabelled_census(census, rng):
-    """The crowded pass reads each neighbourhood from its least vertex, so
-    each census graph with six or seven vertices, and its complement, is
-    checked under three relabellings, over the crowded vertices and over
-    every vertex."""
+    """The crowded mask (oracles.crowded_mask) reads each neighbourhood from
+    its least vertex, so each census graph with six or seven vertices, and
+    its complement, is checked under three relabellings, over the crowded
+    vertices and over every vertex."""
     for n in (6, 7):
         for g in census[n]:
             for h in (g, g.complement()):
@@ -416,9 +406,32 @@ def test_kernels_agree_with_has_induced_on_relabelled_census(census, rng):
                 antifork = U.has_induced(h, "antifork")
                 for _ in range(3):
                     s = _shuffled(rng, h)
-                    for mask in (_crowded(s.adj, s.full_mask), s.full_mask):
+                    for mask in (crowded_mask(s.adj, s.full_mask), s.full_mask):
                         assert _has_fork(s.adj, mask) == fork, U.to_graph6(s)
                         assert _has_antifork(s.adj, mask) == antifork, U.to_graph6(s)
+
+
+def test_kernels_decide_a_part_on_either_side(rng):
+    """The kernels' call shape in is_uncluttered: rows masked to a part,
+    read on g's side or complemented within the part, with the whole part
+    as the anchor mask.  On seeded random graphs with 5..16 vertices and
+    random parts, each kernel equals has_induced on g.induced(part); on the
+    complement's side the fork search finds the part's antiforks and the
+    antifork search its forks."""
+    seen = {(fork, antifork): 0 for fork in (False, True) for antifork in (False, True)}
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(5, 16), rng.random())
+        part = g.full_mask if rng.random() < 0.25 else rng.getrandbits(g.n)
+        h = g.induced(_mask_to_tuple(part))
+        fork, antifork = U.has_induced(h, "fork"), U.has_induced(h, "antifork")
+        rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(g.adj)]
+        co_rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
+                   for v, r in enumerate(rows)]
+        got = (_has_fork(rows, part), _has_antifork(rows, part),
+               _has_fork(co_rows, part), _has_antifork(co_rows, part))
+        assert got == (fork, antifork, antifork, fork), (U.to_graph6(g), part)
+        seen[fork, antifork] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def _claw_centres(g):
@@ -444,39 +457,40 @@ def test_crowded_marks_every_claw_centre_and_diamond_spine(census):
                 want = _claw_centres(h)
                 for u, v in _diamond_spines(h):
                     want |= {u, v}
-                assert _crowded(h.adj, h.full_mask) == sum(1 << v for v in want), \
+                assert crowded_mask(h.adj, h.full_mask) == sum(1 << v for v in want), \
                     U.to_graph6(h)
 
 
 def test_crowded_is_empty_on_line_graphs_of_triangle_free_roots(rng):
     """Every neighbourhood in such a line graph is two anticomplete cliques,
-    the other edges at each end of the root edge; so membership searches
-    nothing on it, nor on its complement, whose denser rows it reads
-    complemented."""
+    the other edges at each end of the root edge; so the Krausz walk
+    accepts it, and its complement, whose denser rows membership reads
+    complemented, and neither is searched."""
     for m in (5, 8, 16, 24, 40, 64):
         for _ in range(5):
             g = _shuffled(rng, _line_graph_member(rng, m))
-            assert _crowded(g.adj, g.full_mask) == 0, U.to_graph6(g)
             c = g.complement()
             rows = [c.full_mask & ~r & ~(1 << v) for v, r in enumerate(c.adj)]
-            assert _crowded(rows, c.full_mask) == 0, U.to_graph6(c)
+            for h, h_rows in ((g, g.adj), (c, rows)):
+                assert crowded_mask(h_rows, h.full_mask) == 0, U.to_graph6(h)
+                assert _is_line_part(h_rows, h.full_mask), U.to_graph6(h)
 
 
 def _walk_agrees_with_crowded(g, part):
     """The walk's verdict on g's rows within part, checked against the
-    crowded pass on the same rows."""
+    reference crowded mask (oracles.crowded_mask) on the same rows."""
     rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(g.adj)]
     accepted = _is_line_part(rows, part)
-    assert accepted == (_crowded(rows, part) == 0), (U.to_graph6(g), part)
+    assert accepted == (crowded_mask(rows, part) == 0), (U.to_graph6(g), part)
     return accepted
 
 
 def test_krausz_walk_accepts_exactly_the_uncrowded_parts(census, rng):
     """The Krausz walk with its three checks accepts a part exactly when the
-    crowded pass finds no vertex in it: on the census up to seven vertices
-    and its complements, on seeded random graphs over random parts, and on
-    shuffled line graphs of triangle-free roots with up to 64 vertices,
-    each also with one pair toggled."""
+    reference crowded mask holds no vertex of it: on the census up to seven
+    vertices and its complements, on seeded random graphs over random
+    parts, and on shuffled line graphs of triangle-free roots with up to 64
+    vertices, each also with one pair toggled."""
     assert not _walk_agrees_with_crowded(U.pattern("diamond"), 15)
     assert not _walk_agrees_with_crowded(U.pattern("claw"), 15)
     assert _walk_agrees_with_crowded(U.complete_graph(4), 15)
@@ -505,7 +519,7 @@ def test_kernel_skips_keep_a_pattern_one_vertex_past_them(rng):
     two cliques plus one vertex; and an antifork whose spine x~y, the only
     diamond spine, has N(x) a disjoint union of cliques but for one induced
     path c-y-d.  Under every sampled relabelling, whichever neighbour is
-    least, the crowded pass marks b alone, or x and y alone, and the
+    least, the crowded mask marks b alone, or x and y alone, and the
     kernel over that mask finds the pattern."""
     b, c, c2, l1, l12, l2, d = range(7)
     fork = Graph(7, [(b, c), (b, c2), (b, l1), (b, l12), (b, l2),
@@ -520,7 +534,7 @@ def test_kernel_skips_keep_a_pattern_one_vertex_past_them(rng):
             perm = list(range(g.n))
             rng.shuffle(perm)
             s = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-            crowded = _crowded(s.adj, s.full_mask)
+            crowded = crowded_mask(s.adj, s.full_mask)
             assert crowded == sum(1 << perm[v] for v in anchors), U.to_graph6(s)
             assert search(s.adj, crowded), U.to_graph6(s)
 
