@@ -21,8 +21,8 @@ where a clique is a set of pairwise disjoint root edges.
 The recursion runs on vertex masks of the input and writes every color into
 one list in the input's own labels; it takes components and anticomponents
 from one sweep of the rows (read complemented for anticomponents, so no
-complement is built) and only the two leaves build a ``Graph`` of their
-part, none when the leaf is the whole input.
+complement is built), and a leaf's root comes from the input's rows, or
+the complement's, within the leaf's mask.
 
 The exact clique and chromatic oracles audit that construction and feed
 nothing into it; both search bitmasks and are meant for n well under twenty.
@@ -39,7 +39,7 @@ from .graph import Graph, _component_masks, _mask_to_tuple
 from .graphio import to_graph6
 from .modular import _nonadjacent_twins_in, _simplicial_in
 from .patterns import is_uncluttered
-from .structure import recognize_line_graph_triangle_free
+from .structure import _line_root
 
 
 class Coloring(NamedTuple):
@@ -236,13 +236,13 @@ def _greedy_matching(rows: tuple[int, ...]) -> tuple[list[int], int]:
     return mate, matched
 
 
-def _cover_colors(root: Graph, edge_map) -> list[int]:
-    """Raw cover colors for host vertices mapped onto root edges.
+def _cover_colors(root: tuple[int, ...], edge_map) -> list[int]:
+    """Raw cover colors for host vertices mapped onto edges of these root rows.
 
     A greedy maximal matching's endpoints cover every root edge; each mapped
     edge a < b takes its smallest matched endpoint, a if matched, else b.
     """
-    matched = _greedy_matching(root.adj)[1]
+    matched = _greedy_matching(root)[1]
     return [a if matched >> a & 1 else b for a, b in edge_map]
 
 
@@ -387,19 +387,21 @@ def _color_on(g: Graph, within: int, cols: list[int], base: int,
         k, omega = _color_on(g, within & ~(1 << u), cols, base, True, True)
         cols[u] = cols[v]
         return k, omega
-    h = g.induced(_mask_to_tuple(within))
-    rg = recognize_line_graph_triangle_free(h)
-    if rg is not None:
-        ec = vizing_edge_color(rg.root)
-        raw = _compress([ec.assignment[e] for e in rg.edge_map])
-        omega = max(row.bit_count() for row in rg.root.adj)
+    found = _line_root(g.adj, within)
+    if found is not None:
+        root, edge_map = found
+        ec = vizing_edge_color(Graph.from_rows(root))
+        raw = _compress([ec.assignment[e] for e in edge_map])
+        omega = max(row.bit_count() for row in root)
     else:
-        rg = recognize_line_graph_triangle_free(h.complement())
-        if rg is None:
+        found = _line_root([within & ~r & ~(1 << v) for v, r in enumerate(g.adj)], within)
+        if found is None:
+            h = g.induced(_mask_to_tuple(within))
             raise TheoremViolationError(
                 f"uncluttered graph {to_graph6(h)!r} fell through the coloring recursion")
-        raw = _compress(_cover_colors(rg.root, rg.edge_map))
-        omega = _max_matching(rg.root.adj)
+        root, edge_map = found
+        raw = _compress(_cover_colors(root, edge_map))
+        omega = _max_matching(root)
     for w, c in zip(_mask_to_tuple(within), raw):
         cols[w] = base + c
     return max(raw) + 1, omega

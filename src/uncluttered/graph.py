@@ -92,13 +92,22 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
+    def _check(self, *vs) -> None:
+        """InputError unless every item of vs is an int (not a bool) in 0..n-1."""
+        for v in vs:
+            if type(v) is not int or not 0 <= v < self.n:
+                raise InputError(f"vertex {v!r} is not an int in range for n={self.n}")
+
     def has_edge(self, u: int, v: int) -> bool:
+        self._check(u, v)
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, u: int) -> int:
+        self._check(u)
         return self.adj[u].bit_count()
 
     def neighbors(self, u: int) -> tuple[int, ...]:
+        self._check(u)
         return _mask_to_tuple(self.adj[u])
 
     def edges(self) -> list[tuple[int, int]]:

@@ -21,10 +21,9 @@ sees three pairwise nonadjacent vertices and each end of an antifork's
 diamond spine sees an induced path of length two.  Those parts are the
 claw- and diamond-free ones, exactly the line graphs of triangle-free
 graphs (Beineke 1970; Harary and Holzmann 1974), so the Krausz walk that
-recovers their roots (structure._krausz) decides them in O(n) with three
-checks on the cliques it finds (_is_line_part).  A part the walk rejects
-gets one bitset fork search and one bitset antifork search over all of its
-vertices, both polynomial in n.
+recovers their roots decides them in O(n) (structure._line_cover).  A part
+the walk rejects gets one bitset fork search and one bitset antifork search
+over all of its vertices, both polynomial in n.
 
 Only a non-member pays for the witness scan, and only in the parts whose
 searches hit; the least of their first witnesses is the lexicographically
@@ -48,7 +47,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
-from .structure import _krausz
+from .structure import _line_cover
 
 PATTERN_NAMES = ("fork", "antifork", "claw", "anticlaw", "diamond",
                  "bull", "net", "antinet", "P4", "triangle")
@@ -101,7 +100,8 @@ class PatternWitness(NamedTuple):
                 and all(type(v) is int and 0 <= v < host.n for v in emb)
                 and len(emb) == len(set(emb)) == p.n):
             return False
-        return all(host.has_edge(emb[a], emb[b]) == p.has_edge(a, b)
+        rows = host.adj
+        return all(rows[emb[a]] >> emb[b] & 1 == p.adj[a] >> b & 1
                    for a, b in combinations(range(p.n), 2))
 
 
@@ -126,15 +126,14 @@ def _place(p: Graph, host: Graph, pdeg: list[int], image: list[int],
     induced embedding of p; True (with image filled) iff one exists."""
     if i == p.n:
         return True
-    for v in range(host.n):
-        if used >> v & 1 or host.degree(v) < pdeg[i]:
+    prow = p.adj[i]
+    for v, row in enumerate(host.adj):
+        if used >> v & 1 or row.bit_count() < pdeg[i]:
             continue
-        ok = True
         for j in range(i):
-            if host.has_edge(v, image[j]) != p.has_edge(i, j):
-                ok = False
+            if row >> image[j] & 1 != prow >> j & 1:
                 break
-        if ok:
+        else:
             image[i] = v
             if _place(p, host, pdeg, image, i + 1, used | 1 << v):
                 return True
@@ -144,43 +143,6 @@ def _place(p: Graph, host: Graph, pdeg: list[int], image: list[int],
 def has_induced(g: Graph, name: str) -> bool:
     """True iff the named pattern embeds in g as an induced subgraph."""
     return find_induced(pattern(name), g) is not None
-
-
-def _is_line_part(rows: tuple[int, ...] | list[int], part: int) -> bool:
-    """True iff no vertex of ``part`` is crowded, read off the Krausz walk
-    (structure._krausz) with three checks.  A vertex is crowded when its
-    neighbourhood is not a disjoint union of at most two cliques.
-
-    The walk gives each vertex at most two masks, each its closed
-    neighbourhood met with one neighbour's.  The part passes when
-      (1) each mask is claimed by exactly its members, so it is a clique,
-          and N(v) is covered by v's two;
-      (2) no two vertices claim the same two cliques, so v's two cliques
-          meet only in v;
-      (3) no three cliques pairwise meet, so no edge joins v's two
-          cliques: its ends would share a third, meeting both.
-    Then every N(v) is at most two anticomplete cliques.  Conversely, in a
-    claw- and diamond-free part the masks are the maximal cliques, and all
-    three hold.  A vertex claims only masks holding it, so (1) is one
-    count; given (1), (2) and (3) are the multi-edges and triangles of the
-    root whose vertices are the cliques, each found as its last edge is
-    added.
-    """
-    walk = _krausz(rows, part)
-    if walk is None:
-        return False
-    number, cover = walk
-    if sum(map(int.bit_count, number)) != sum(map(len, cover)):
-        return False
-    root = [0] * len(number)
-    for ends in cover:
-        if len(ends) == 2:
-            a, b = ends
-            if root[b] & (root[a] | 1 << a):
-                return False
-            root[a] |= 1 << b
-            root[b] |= 1 << a
-    return True
 
 
 def _has_fork(rows: tuple[int, ...] | list[int], centres: int) -> bool:
@@ -359,24 +321,13 @@ def _least_witness(adj: tuple[int, ...], part: int) -> tuple:
 def is_uncluttered(g: Graph) -> PatternWitness | None:
     """None iff g has no induced fork or antifork; otherwise a witness.
 
-    The fork and the antifork are connected and co-connected, so each one
-    lies inside a part of g that is connected and co-connected: split g
-    into components, those into anticomponents, and so on down.  A part
-    with k >= 5 vertices is decided on the rows of g within it, or on the
-    complement's rows within it when it has more than k(k-1)/4 edges;
-    since a fork of the complement is an antifork of g, the two decide the
-    same question, and no complement of g is built.  A part in which no
-    neighbourhood holds three pairwise nonadjacent vertices or an induced
-    path of length two has no fork centre and no antifork spine, so it is a
-    member, and the Krausz walk finds those parts in O(n) (_is_line_part).
-    A part it rejects is decided by one fork search and one antifork
-    search over all of its vertices.  Only a non-member pays for the
-    witness scan, and only in the parts that hold a fork or antifork: the
-    witness comes from the first 5-subset, in ascending order, that induces
-    one, least over those parts, so it is deterministic.  The scan walks
-    4-subsets and reads each one's least fifth vertex off one mask (see
-    _least_witness); the embedding is read off the fork's roles (in the
-    complement within the subset for an antifork) and is the least one.
+    Each connected, co-connected part with k >= 5 vertices (see the module
+    docstring) is read on g's rows within it, or on the complement's when
+    it has more than k(k-1)/4 edges.  A part that _line_cover accepts is a
+    member; any other is decided by one fork and one antifork search.  The
+    witness is the least 5-subset, over the parts that hold one, that
+    induces a fork or an antifork (_least_witness), with the least
+    embedding read off the fork's roles, so it is deterministic.
     """
     if g.n < 5:
         return None
@@ -392,7 +343,7 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
         if 2 * sum(map(int.bit_count, rows)) > k * (k - 1):
             rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
                     for v, r in enumerate(rows)]
-        if _is_line_part(rows, part):
+        if _line_cover(rows, part) is not None:
             continue
         if _has_fork(rows, part) or _has_antifork(rows, part):
             found = _least_witness(adj, part)

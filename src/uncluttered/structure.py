@@ -13,16 +13,14 @@ diamond, and on those the Krausz cliques K(u,v) = {u, v} + (N(u) & N(v))
 partition the edges with every vertex in at most two of them.  One walk,
 _krausz, collects each vertex's cliques K(w,v) over a vertex mask and
 numbers the distinct ones in the order first met, which on a line graph is
-their lexicographic order (Krausz 1943; Roussopoulos 1973).  Recognition
-takes them as root vertices and keeps the root only if verify_root maps g
-onto its line graph and no mapped edge closes a triangle, so every root
-returned proves its own claim; membership (patterns._is_line_part) runs the
-same walk on a part's rows and checks the cliques instead of building a
-root.  Each root vertex holds an incidence mask of its edges, and an edge's
-row is the OR of its two endpoints' masks: line_graph builds rows so, and
-verify_root checks each host row against the masks of the edges before it,
-in one loop.  The test suite checks that the roots appear exactly on the
-claw- and diamond-free graphs.
+their lexicographic order (Krausz 1943; Roussopoulos 1973).  One decider,
+_line_cover, accepts the walk after three checks on its cliques; membership
+runs it on each part, and _line_root takes the accepted cliques as root
+vertices, for the recognizer on all of g and for the colourer on a vertex
+mask of g or of its complement.  Each root vertex holds an incidence mask
+of its edges, and an edge's row is the OR of its two endpoints' masks:
+line_graph builds rows so, and verify_root, the certificate check,
+compares each host row with the masks of the edges before it.
 
 A candelabrum is forced by any one clique-part vertex, and a candled split
 by its rest, so recognition builds one split per closed-twin class and
@@ -151,8 +149,9 @@ def _is_triangle_free_root(g: Graph, rg: RootGraph) -> bool:
 
 def _krausz(rows: tuple[int, ...] | list[int],
             part: int) -> tuple[dict[int, int], list[list[int]]] | None:
-    """The Krausz walk over the vertices of ``part``, in ascending order:
-    (numbers, cover), or None once a vertex meets a third clique.
+    """The Krausz walk over the vertices of ``part``, in ascending order,
+    on each row met with ``part``: (numbers, cover), or None once a vertex
+    meets a third clique.
 
     Each vertex w takes the clique K(w,v) = {w, v} + (N(w) & N(v)) of its
     least neighbour v, then that of its least neighbour outside the first,
@@ -160,7 +159,7 @@ def _krausz(rows: tuple[int, ...] | list[int],
     mask is numbered in ``numbers`` when first met, and ``cover`` lists,
     per vertex of ``part``, the numbers of its at most two cliques in the
     order met.  Unchecked: on a graph that is not a line graph the masks
-    need not be cliques nor the cover consistent.
+    need not be cliques nor the cover consistent; _line_cover checks them.
     """
     number: dict[int, int] = {}
     cover: list[list[int]] = []
@@ -168,7 +167,7 @@ def _krausz(rows: tuple[int, ...] | list[int],
     while m:
         low_w = m & -m
         m ^= low_w
-        row = rows[low_w.bit_length() - 1]
+        row = rows[low_w.bit_length() - 1] & part
         if not row:
             cover.append([])
             continue
@@ -187,31 +186,59 @@ def _krausz(rows: tuple[int, ...] | list[int],
     return number, cover
 
 
-def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
-    """Root reconstruction for line graphs of triangle-free graphs.
+def _line_cover(rows: tuple[int, ...] | list[int],
+                part: int) -> tuple[dict[int, int], list[list[int]]] | None:
+    """The Krausz walk over ``part`` (_krausz) if ``part`` induces the line
+    graph of a triangle-free graph, else None.
 
-    Returns None iff g is not the line graph of any triangle-free graph.
-    The walk (_krausz) gives each host vertex w its Krausz cliques
-    K(w,v) = {w, v} + (N(w) & N(v)), one per neighbour v outside those
-    already found, and rejects g at a third.  The distinct cliques,
-    numbered when first met, are the first root vertices; a vertex in one
-    clique gets a pendant root vertex and an isolated vertex a private root
-    edge.  On a line graph of a triangle-free root each clique is first met
-    at its least vertex, and two cliques met at one vertex in order of
-    their second vertex, so the numbers follow the lexicographic order of
-    the cliques and each vertex's two numbers ascend.  The root is kept
-    only if verify_root accepts it, which also rejects two host vertices on
-    one root edge and any other input, and it is triangle-free.
+    The walk gives each vertex at most two masks, each its closed
+    neighbourhood met with one neighbour's.  The part passes when
+      (1) each mask is claimed by exactly its members, so it is a clique,
+          and N(v) is covered by v's two;
+      (2) no two vertices claim the same two cliques, so v's two cliques
+          meet only in v;
+      (3) no three cliques pairwise meet, so no edge joins v's two
+          cliques: its ends would share a third, meeting both.
+    Then every N(v) is at most two anticomplete cliques, so the part is
+    claw- and diamond-free.  Conversely, in a claw- and diamond-free part
+    the masks are the maximal cliques, and all three hold.  A vertex claims
+    only masks holding it, so (1) is one count; given (1), (2) and (3) are
+    the multi-edges and triangles of the root whose vertices are the
+    cliques, each found as its last edge is added.
     """
-    walk = _krausz(g.adj, g.full_mask)
+    walk = _krausz(rows, part)
     if walk is None:
         return None
     number, cover = walk
-    # Root vertices: one per clique, then pendants and isolated-edge ends.
-    # A root may exceed the host's 64-vertex cap (a path on 64 vertices has
-    # a 65-vertex root), so its rows are built here and wrapped directly.
-    # The rows and the edge-map tuple are made at their final sizes: growing
-    # them in place raised a long run's peak RSS in step with its calls.
+    if sum(map(int.bit_count, number)) != sum(map(len, cover)):
+        return None
+    root = [0] * len(number)
+    for ends in cover:
+        if len(ends) == 2:
+            a, b = ends
+            if root[b] & (root[a] | 1 << a):
+                return None
+            root[a] |= 1 << b
+            root[b] |= 1 << a
+    return walk
+
+
+def _line_root(rows: tuple[int, ...] | list[int],
+               part: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """(root rows, edge map) of the triangle-free root whose line graph
+    ``part`` induces, or None; the edge map follows ``part`` in ascending order.
+
+    Root vertices are the cliques _line_cover accepts, in the order first
+    met (on such a line graph, their lexicographic order, with each vertex's
+    two numbers ascending), then a pendant for each vertex in one clique and
+    a private edge for each isolated vertex.  A root may exceed the 64-vertex
+    cap (a 64-vertex path's root has 65), so the rows are built here, at
+    their final sizes: growing them in place raised a long run's peak RSS.
+    """
+    walk = _line_cover(rows, part)
+    if walk is None:
+        return None
+    number, cover = walk
     next_vertex = len(number)
     edge_map: list[tuple[int, ...]] = []
     for ends in cover:
@@ -219,12 +246,22 @@ def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
             ends.append(next_vertex)
             next_vertex += 1
         edge_map.append(tuple(ends))
-    rows = [0] * next_vertex
+    root = [0] * next_vertex
     for a, b in edge_map:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    rg = RootGraph(Graph.from_rows(tuple(rows)), tuple(edge_map))
-    return rg if _is_triangle_free_root(g, rg) else None
+        root[a] |= 1 << b
+        root[b] |= 1 << a
+    return tuple(root), tuple(edge_map)
+
+
+def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
+    """Root reconstruction for line graphs of triangle-free graphs.
+
+    Returns None iff g is not the line graph of any triangle-free graph;
+    otherwise the root of its Krausz cliques (_line_root), with
+    ``edge_map[w]`` the root edge that host vertex w plays.
+    """
+    found = _line_root(g.adj, g.full_mask)
+    return None if found is None else RootGraph(Graph.from_rows(found[0]), found[1])
 
 
 def is_line_graph_of_bipartite(g: Graph) -> bool:

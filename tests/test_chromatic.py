@@ -178,7 +178,7 @@ def test_cover_coloring_frozen_values():
         (U.path_graph(5), (0, 1, 2, 3), 4, 2),
     ]
     for root, colors, num, omega in cases:
-        c = tuple(_compress(_cover_colors(root, root.edges())))
+        c = tuple(_compress(_cover_colors(root.adj, root.edges())))
         assert c == colors
         assert max(c) + 1 == num and _max_matching(root.adj) == omega
         assert U.is_proper_coloring(U.line_graph(root).complement(), c)

@@ -3,7 +3,8 @@
 The verifiers (``verify_certificate``, ``verify_root``, ``verify_candled``,
 ``PatternWitness.holds_in``, ``is_proper_coloring`` and
 ``is_proper_edge_coloring``) return False on a malformed payload.  The
-constructors and parsers raise ``InputError`` on a malformed argument.
+constructors, parsers and vertex queries of ``Graph`` raise ``InputError``
+on a malformed argument.
 Arguments typed ``Graph`` are trusted and not probed here.
 
 Each row names one argument slot of one public callable, a well-formed
@@ -115,6 +116,10 @@ RAISERS = [
     ("Graph.edges", lambda v: Graph(3, v), [(0, 1)],
      [[(0,)], [(0, 1, 2)], [(0, 3)], [(1, 1)], [(0, True)], [(0, 1.0)]], ()),
     ("Graph.induced", C5.induced, (0, 2), [(0, 5), (0, 1.0), (True,), (-1,)], ()),
+    ("Graph.has_edge.u", lambda v: C5.has_edge(v, 3), 4, [5, -5], ()),
+    ("Graph.has_edge.v", lambda v: C5.has_edge(3, v), 4, [5, -5], ()),
+    ("Graph.degree", C5.degree, 4, [5, -5], ()),
+    ("Graph.neighbors", C5.neighbors, 4, [5, -5], ()),
     ("edgeless_graph", U.edgeless_graph, 3, [], ()),
     ("complete_graph", U.complete_graph, 3, [], ()),
     ("path_graph", U.path_graph, 3, [], ()),

@@ -480,6 +480,19 @@ def test_package_has_no_unused_private_functions():
     assert unused == []
 
 
+def test_only_line_cover_reads_the_krausz_walk():
+    # The line-graph question has one home: membership, the recognizer and
+    # the colourer all go through structure._line_cover and its checks,
+    # and nothing else reads the bare walk.
+    readers = []
+    for path in sorted(Path(U.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", None)
+            if name != "_krausz" and "_krausz" in _references(node, None):
+                readers.append((path.stem, name))
+    assert readers == [("structure", "_line_cover")]
+
+
 def test_member_case_builds_the_complement_only_for_line_and_candled_probes(
         uncluttered_census, rng, monkeypatch):
     """No complement of g is built on a DISCONNECTED, ANTI_DISCONNECTED,

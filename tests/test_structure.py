@@ -6,9 +6,14 @@ import pytest
 
 import uncluttered as U
 from uncluttered import Graph, InputError, structure
-from uncluttered.graph import invariant_key
+from uncluttered.graph import _mask_to_tuple, invariant_key
 from uncluttered.modular import find_adjacent_simplicial_twins
-from uncluttered.structure import RootGraph, _candelabrum_on, is_line_graph_of_bipartite
+from uncluttered.structure import (
+    RootGraph,
+    _candelabrum_on,
+    _line_root,
+    is_line_graph_of_bipartite,
+)
 
 from oracles import (
     compose_candled,
@@ -18,6 +23,7 @@ from oracles import (
     oracle_is_candelabrum,
     random_candelabrum,
     random_connected_triangle_free,
+    random_graph,
     sorted_krausz_root,
     triangle_free_rootless_by_edges,
 )
@@ -117,7 +123,9 @@ def test_recognizer_numbers_cliques_as_sorting_them_does(rng):
     vertices, a third of them with one vertex pair toggled and a third
     with an isolated vertex added, and their complements: numbering each
     Krausz clique when first met gives the root and edge map that numbering
-    them in sorted order gives, and the same rejections."""
+    them in sorted order gives, and the same rejections.  The recognizer
+    does not recheck its roots, so each one accepted is checked here:
+    verify_root accepts it and it has no triangle."""
     accepted = 0
     for _ in range(2000):
         root = random_connected_triangle_free(rng, rng.randint(2, 24))
@@ -133,8 +141,52 @@ def test_recognizer_numbers_cliques_as_sorting_them_does(rng):
         for h in (g, g.complement()):
             rg = U.recognize_line_graph_triangle_free(h)
             assert rg == sorted_krausz_root(h), U.to_graph6(h)
-            accepted += rg is not None
+            if rg is not None:
+                assert U.verify_root(h, rg), U.to_graph6(h)
+                assert U.is_triangle_free(rg.root) is None, U.to_graph6(h)
+                accepted += 1
     assert accepted >= 1000, accepted
+
+
+def _masked_roots_agree(g, mask):
+    """_line_root on g's rows, and on its complement's rows, within mask
+    gives the root rows and edge map that the recognizer gives on
+    g.induced(mask) and on that graph's complement; returns how many of
+    the two were accepted."""
+    h = g.induced(_mask_to_tuple(mask))
+    co_rows = [mask & ~r & ~(1 << v) for v, r in enumerate(g.adj)]
+    accepted = 0
+    for rows, host in ((g.adj, h), (co_rows, h.complement())):
+        rg = U.recognize_line_graph_triangle_free(host)
+        found = _line_root(rows, mask)
+        assert found == (rg and (rg.root.adj, rg.edge_map)), (U.to_graph6(g), mask)
+        accepted += found is not None
+    return accepted
+
+
+def test_masked_roots_match_the_recognizer_on_induced_subgraphs(rng):
+    """The colourer reads a leaf's root off g's rows, or the complement's,
+    within the leaf's mask: on seeded random graphs with 5..30 vertices
+    and on shuffled line graphs of triangle-free roots and their
+    complements with up to 64 vertices, some with one pair toggled, over
+    random masks and the full one, the root and edge map are the
+    recognizer's on the induced subgraph and on its complement."""
+    accepted = tried = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(5, 30), rng.choice((0.05, 0.2, 0.5, 0.9)))
+        for mask in (rng.getrandbits(g.n), g.full_mask):
+            accepted += _masked_roots_agree(g, mask)
+            tried += 2
+    for m in range(5, 65):
+        root = random_connected_triangle_free(rng, rng.randint(m // 2 + 1, m))
+        edges = root.edges()
+        g = _relabelled(rng, U.line_graph(Graph(root.n, rng.sample(edges, min(m, len(edges))))))
+        u, v = sorted(rng.sample(range(g.n), 2))
+        for h in (g, g.complement(), Graph(g.n, set(g.edges()) ^ {(u, v)})):
+            for mask in (rng.getrandbits(h.n), h.full_mask):
+                accepted += _masked_roots_agree(h, mask)
+                tried += 2
+    assert 500 <= accepted <= tried - 500, (accepted, tried)
 
 
 def test_recognizer_matches_exhaustive_root_enumeration():
