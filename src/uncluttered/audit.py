@@ -253,7 +253,7 @@ def audit(n_max: int, suites=None, graphs=None) -> AuditReport:
             raise InputError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
         if suites.count(s) > 1:
             raise InputError(f"suite {s!r} is named more than once")
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
+    if type(n_max) is not int:
         raise InputError(f"n_max must be an int, got {n_max!r}")
     if isinstance(graphs, str):
         raise InputError("graphs must be an iterable of graph6 strings, not one string")

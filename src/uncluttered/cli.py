@@ -33,10 +33,10 @@ def _read_text(args) -> str:
     return sys.stdin.read()
 
 
-def _iter_graphs(args):
-    """Yield (label, graph, error) triples from the selected input format."""
+def _iter_graphs(args, edge_list: bool):
+    """Yield (label, graph, error) triples from edge-list blocks or graph6 lines."""
     text = _read_text(args)
-    if getattr(args, "edge_list", False):
+    if edge_list:
         for block in re.split(r"\n\s*\n", text):
             if not block.strip():
                 continue
@@ -66,7 +66,7 @@ def _each_graph(args, result) -> int:
     rejects with NotUnclutteredError, else the label followed by the keys of
     ``result(g)``."""
     bad = False
-    for label, g, err in _iter_graphs(args):
+    for label, g, err in _iter_graphs(args, args.edge_list):
         if err is not None:
             _emit({"graph6": label, "error": err})
             bad = True
@@ -101,8 +101,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_encode(args) -> int:
     bad = False
-    args.edge_list = True
-    for label, g, err in _iter_graphs(args):
+    for label, g, err in _iter_graphs(args, True):
         if err is not None:
             sys.stderr.write(f"error: {err}\n")
             bad = True
@@ -114,8 +113,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     bad = False
     first = True
-    args.edge_list = False
-    for label, g, err in _iter_graphs(args):
+    for label, g, err in _iter_graphs(args, False):
         if err is not None:
             sys.stderr.write(f"error on {label!r}: {err}\n")
             bad = True

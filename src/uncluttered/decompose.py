@@ -118,10 +118,13 @@ def _verify(g: Graph, cert: Certificate) -> bool:
         case = case[len("ANTI_"):]
         g = g.complement()
     if case == "DISCONNECTED":
-        return (tuple(payload) == tuple(g.components()) and len(payload) >= 2
+        return (type(payload) is tuple and payload == tuple(g.components())
+                and len(payload) >= 2
                 and all(type(v) is int for part in payload for v in part))
     if case == "SIMPLICIAL_TWINS":
         # adjacent twins share one closed row, a clique iff both are simplicial
+        if type(payload) is not tuple:
+            return False
         u, v = payload
         if not (type(u) is type(v) is int and 0 <= u < v < g.n):
             return False

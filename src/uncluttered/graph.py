@@ -39,7 +39,7 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
 
 def _vertex_count(n, cap: int = MAX_VERTICES) -> int:
     """n itself when it is an int (not a bool) in 0..cap; else InputError."""
-    if isinstance(n, bool) or not isinstance(n, int):
+    if type(n) is not int:
         raise InputError(f"vertex count must be an int, got {n!r}")
     if not 0 <= n <= cap:
         raise InputError(f"vertex count {n} outside supported range 0..{cap}")
@@ -65,7 +65,7 @@ class Graph:
             except (TypeError, ValueError):
                 raise InputError(f"edge {edge!r} is not a pair of vertices") from None
             for w in (u, v):
-                if isinstance(w, bool) or not isinstance(w, int):
+                if type(w) is not int:
                     raise InputError(f"edge endpoint must be an int, got {w!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
@@ -146,11 +146,9 @@ class Graph:
         Each maximal run of consecutive kept labels moves down to its new
         place in every kept row with one mask and one shift.
         """
-        n = self.n
         keep = 0
         for v in _iterate(vs, "vertices"):
-            if type(v) is not int or not 0 <= v < n:
-                raise InputError(f"vertex {v!r} is not an int in range for n={n}")
+            self._check(v)
             keep |= 1 << v
         if keep == self.full_mask:
             return self

@@ -21,7 +21,7 @@ sees three pairwise nonadjacent vertices and each end of an antifork's
 diamond spine sees an induced path of length two.  Those parts are the
 claw- and diamond-free ones, exactly the line graphs of triangle-free
 graphs (Beineke 1970; Harary and Holzmann 1974), so the Krausz walk that
-recovers their roots decides them in O(n) (structure._line_cover).  A part
+recovers their roots decides them in O(n) (structure._line_root).  A part
 the walk rejects gets one bitset fork search and one bitset antifork search
 over all of its vertices, both polynomial in n.
 
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
-from .structure import _line_cover
+from .structure import _line_root
 
 PATTERN_NAMES = ("fork", "antifork", "claw", "anticlaw", "diamond",
                  "bull", "net", "antinet", "P4", "triangle")
@@ -323,11 +323,12 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
 
     Each connected, co-connected part with k >= 5 vertices (see the module
     docstring) is read on g's rows within it, or on the complement's when
-    it has more than k(k-1)/4 edges.  A part that _line_cover accepts is a
-    member; any other is decided by one fork and one antifork search.  The
-    witness is the least 5-subset, over the parts that hold one, that
-    induces a fork or an antifork (_least_witness), with the least
-    embedding read off the fork's roles, so it is deterministic.
+    it has more than k(k-1)/4 edges.  A part that is the line graph of a
+    triangle-free root (_line_root) is a member; any other is decided by
+    one fork and one antifork search.  The witness is the least 5-subset,
+    over the parts that hold one, that induces a fork or an antifork
+    (_least_witness), with the least embedding read off the fork's roles,
+    so it is deterministic.
     """
     if g.n < 5:
         return None
@@ -343,7 +344,7 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
         if 2 * sum(map(int.bit_count, rows)) > k * (k - 1):
             rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
                     for v, r in enumerate(rows)]
-        if _line_cover(rows, part) is not None:
+        if _line_root(rows, part) is not None:
             continue
         if _has_fork(rows, part) or _has_antifork(rows, part):
             found = _least_witness(adj, part)

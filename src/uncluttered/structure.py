@@ -10,17 +10,17 @@ else.
 For line graphs the only roots this package ever needs are triangle-free.
 Their line graphs are exactly the graphs with no induced claw and no induced
 diamond, and on those the Krausz cliques K(u,v) = {u, v} + (N(u) & N(v))
-partition the edges with every vertex in at most two of them.  One walk,
-_krausz, collects each vertex's cliques K(w,v) over a vertex mask and
-numbers the distinct ones in the order first met, which on a line graph is
-their lexicographic order (Krausz 1943; Roussopoulos 1973).  One decider,
-_line_cover, accepts the walk after three checks on its cliques; membership
-runs it on each part, and _line_root takes the accepted cliques as root
-vertices, for the recognizer on all of g and for the colourer on a vertex
-mask of g or of its complement.  Each root vertex holds an incidence mask
-of its edges, and an edge's row is the OR of its two endpoints' masks:
-line_graph builds rows so, and verify_root, the certificate check,
-compares each host row with the masks of the edges before it.
+partition the edges with every vertex in at most two of them.  One
+function, _line_root, walks each vertex's cliques K(w,v) over a vertex
+mask, numbers the distinct ones in the order first met, which on a line
+graph is their lexicographic order (Krausz 1943; Roussopoulos 1973), and
+builds and checks the root whose vertices they are in one pass.
+Membership runs it on each part, the recognizer on all of g, and the
+colourer on a vertex mask of g or of its complement.  Each root vertex
+holds an incidence mask of its edges, and an edge's row is the OR of its
+two endpoints' masks: line_graph builds rows so, and verify_root, the
+certificate check, compares each host row with the masks of the edges
+before it.
 
 A candelabrum is forced by any one clique-part vertex, and a candled split
 by its rest, so recognition builds one split per closed-twin class and
@@ -147,52 +147,19 @@ def _is_triangle_free_root(g: Graph, rg: RootGraph) -> bool:
     return True
 
 
-def _krausz(rows: tuple[int, ...] | list[int],
-            part: int) -> tuple[dict[int, int], list[list[int]]] | None:
-    """The Krausz walk over the vertices of ``part``, in ascending order,
-    on each row met with ``part``: (numbers, cover), or None once a vertex
-    meets a third clique.
+def _line_root(rows: tuple[int, ...] | list[int],
+               part: int) -> tuple[list[int], list[tuple[int, int]]] | None:
+    """(root rows, edge map) of the triangle-free root whose line graph
+    ``part`` induces, or None; rows are read within ``part``, and the edge
+    map follows ``part`` in ascending order.
 
+    The Krausz walk visits the vertices of ``part`` in ascending order.
     Each vertex w takes the clique K(w,v) = {w, v} + (N(w) & N(v)) of its
     least neighbour v, then that of its least neighbour outside the first,
-    and any neighbour outside both is a third clique.  Each distinct clique
-    mask is numbered in ``numbers`` when first met, and ``cover`` lists,
-    per vertex of ``part``, the numbers of its at most two cliques in the
-    order met.  Unchecked: on a graph that is not a line graph the masks
-    need not be cliques nor the cover consistent; _line_cover checks them.
-    """
-    number: dict[int, int] = {}
-    cover: list[list[int]] = []
-    m = part
-    while m:
-        low_w = m & -m
-        m ^= low_w
-        row = rows[low_w.bit_length() - 1] & part
-        if not row:
-            cover.append([])
-            continue
-        low = row & -row
-        first = row & rows[low.bit_length() - 1] | low | low_w
-        rest = row & ~first
-        if not rest:
-            cover.append([number.setdefault(first, len(number))])
-            continue
-        low = rest & -rest
-        second = row & rows[low.bit_length() - 1] | low | low_w
-        if rest & ~second:
-            return None
-        cover.append([number.setdefault(first, len(number)),
-                      number.setdefault(second, len(number))])
-    return number, cover
-
-
-def _line_cover(rows: tuple[int, ...] | list[int],
-                part: int) -> tuple[dict[int, int], list[list[int]]] | None:
-    """The Krausz walk over ``part`` (_krausz) if ``part`` induces the line
-    graph of a triangle-free graph, else None.
-
-    The walk gives each vertex at most two masks, each its closed
-    neighbourhood met with one neighbour's.  The part passes when
+    and any neighbour outside both is a third clique: None.  Each distinct
+    clique mask is numbered when first met (on a line graph, in
+    lexicographic order), and w records the numbers of its at most two
+    cliques in the order met.  The part passes when
       (1) each mask is claimed by exactly its members, so it is a clique,
           and N(v) is covered by v's two;
       (2) no two vertices claim the same two cliques, so v's two cliques
@@ -203,54 +170,57 @@ def _line_cover(rows: tuple[int, ...] | list[int],
     claw- and diamond-free.  Conversely, in a claw- and diamond-free part
     the masks are the maximal cliques, and all three hold.  A vertex claims
     only masks holding it, so (1) is one count; given (1), (2) and (3) are
-    the multi-edges and triangles of the root whose vertices are the
-    cliques, each found as its last edge is added.
+    the multi-edges and triangles of the root, found as each vertex adds
+    its edge.  The root's vertices are the cliques, then a pendant for each
+    vertex in one clique and two for each isolated vertex, in the order
+    met; a pendant edge closes neither a multi-edge nor a triangle.  A root
+    may exceed the 64-vertex cap (a 64-vertex path's root has 65), so its
+    rows are allocated once, at their final count: growing them in place
+    raised a long run's peak RSS.
     """
-    walk = _krausz(rows, part)
-    if walk is None:
+    number: dict[int, int] = {}
+    cover: list[tuple[int, ...]] = []
+    m = part
+    while m:
+        low_w = m & -m
+        m ^= low_w
+        row = rows[low_w.bit_length() - 1] & part
+        if not row:
+            cover.append(())
+            continue
+        low = row & -row
+        first = row & rows[low.bit_length() - 1] | low | low_w
+        rest = row & ~first
+        if not rest:
+            cover.append((number.setdefault(first, len(number)),))
+            continue
+        low = rest & -rest
+        second = row & rows[low.bit_length() - 1] | low | low_w
+        if rest & ~second:
+            return None
+        cover.append((number.setdefault(first, len(number)),
+                      number.setdefault(second, len(number))))
+    claims = sum(map(len, cover))
+    if sum(map(int.bit_count, number)) != claims:
         return None
-    number, cover = walk
-    if sum(map(int.bit_count, number)) != sum(map(len, cover)):
-        return None
-    root = [0] * len(number)
+    next_vertex = len(number)
+    root = [0] * (next_vertex + 2 * len(cover) - claims)
+    edge_map: list[tuple[int, int]] = []
     for ends in cover:
         if len(ends) == 2:
             a, b = ends
             if root[b] & (root[a] | 1 << a):
                 return None
-            root[a] |= 1 << b
-            root[b] |= 1 << a
-    return walk
-
-
-def _line_root(rows: tuple[int, ...] | list[int],
-               part: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
-    """(root rows, edge map) of the triangle-free root whose line graph
-    ``part`` induces, or None; the edge map follows ``part`` in ascending order.
-
-    Root vertices are the cliques _line_cover accepts, in the order first
-    met (on such a line graph, their lexicographic order, with each vertex's
-    two numbers ascending), then a pendant for each vertex in one clique and
-    a private edge for each isolated vertex.  A root may exceed the 64-vertex
-    cap (a 64-vertex path's root has 65), so the rows are built here, at
-    their final sizes: growing them in place raised a long run's peak RSS.
-    """
-    walk = _line_cover(rows, part)
-    if walk is None:
-        return None
-    number, cover = walk
-    next_vertex = len(number)
-    edge_map: list[tuple[int, ...]] = []
-    for ends in cover:
-        while len(ends) < 2:
-            ends.append(next_vertex)
+        elif ends:
+            a, b = ends[0], next_vertex
             next_vertex += 1
-        edge_map.append(tuple(ends))
-    root = [0] * next_vertex
-    for a, b in edge_map:
+        else:
+            a, b = next_vertex, next_vertex + 1
+            next_vertex += 2
         root[a] |= 1 << b
         root[b] |= 1 << a
-    return tuple(root), tuple(edge_map)
+        edge_map.append((a, b))
+    return root, edge_map
 
 
 def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
@@ -261,7 +231,10 @@ def recognize_line_graph_triangle_free(g: Graph) -> RootGraph | None:
     ``edge_map[w]`` the root edge that host vertex w plays.
     """
     found = _line_root(g.adj, g.full_mask)
-    return None if found is None else RootGraph(Graph.from_rows(found[0]), found[1])
+    if found is None:
+        return None
+    root, edge_map = found
+    return RootGraph(Graph.from_rows(root), tuple(edge_map))
 
 
 def is_line_graph_of_bipartite(g: Graph) -> bool:

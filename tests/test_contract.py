@@ -29,8 +29,14 @@ from uncluttered import (
     RootGraph,
 )
 
-# None, bools, floats, a string, and ints below and above every range
-BAD = (None, True, False, 1.5, math.nan, "x", -1, 65)
+
+class Int(int):
+    """An int subclass, which no slot takes for an int."""
+
+
+# None, bools, floats, a string, ints below and above every range, and an
+# int subclass within every count's range
+BAD = (None, True, False, 1.5, math.nan, "x", -1, 65, Int(3))
 
 FORK = U.pattern("fork")
 C5 = U.cycle_graph(5)
@@ -55,9 +61,11 @@ def _payload_slot(g, cert):
     if base == "SMALL":
         shapes = [()]
     elif base == "DISCONNECTED":
-        shapes = [payload[:1], payload + ((0,),), [list(p) for p in payload]]
+        shapes = [payload[:1], payload + ((0,),), [list(p) for p in payload],
+                  list(payload)]
     elif base == "SIMPLICIAL_TWINS":
-        shapes = [payload[:1], payload + (3,)]
+        shapes = [payload[:1], payload + (3,), list(payload), set(payload),
+                  dict.fromkeys(payload)]
     elif base == "NOT_UNCLUTTERED":
         shapes = [tuple(payload), list(payload),
                   PatternWitness("fork", payload.embedding[:4])]
@@ -114,7 +122,8 @@ VERIFIERS = [
 RAISERS = [
     ("Graph.n", Graph, 3, [], ()),
     ("Graph.edges", lambda v: Graph(3, v), [(0, 1)],
-     [[(0,)], [(0, 1, 2)], [(0, 3)], [(1, 1)], [(0, True)], [(0, 1.0)]], ()),
+     [[(0,)], [(0, 1, 2)], [(0, 3)], [(1, 1)], [(0, True)], [(0, 1.0)],
+      [(0, Int(1))]], ()),
     ("Graph.induced", C5.induced, (0, 2), [(0, 5), (0, 1.0), (True,), (-1,)], ()),
     ("Graph.has_edge.u", lambda v: C5.has_edge(v, 3), 4, [5, -5], ()),
     ("Graph.has_edge.v", lambda v: C5.has_edge(3, v), 4, [5, -5], ()),

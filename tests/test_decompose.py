@@ -480,17 +480,20 @@ def test_package_has_no_unused_private_functions():
     assert unused == []
 
 
-def test_only_line_cover_reads_the_krausz_walk():
+def test_only_line_root_answers_the_line_graph_question():
     # The line-graph question has one home: membership, the recognizer and
-    # the colourer all go through structure._line_cover and its checks,
-    # and nothing else reads the bare walk.
-    readers = []
+    # the colourer's leaves all call structure._line_root, and no second
+    # walk or decider sits beside it.
+    readers, defined = [], set()
     for path in sorted(Path(U.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             name = getattr(node, "name", None)
-            if name != "_krausz" and "_krausz" in _references(node, None):
+            defined.add(name)
+            if name != "_line_root" and "_line_root" in _references(node, None):
                 readers.append((path.stem, name))
-    assert readers == [("structure", "_line_cover")]
+    assert readers == [("chromatic", "_color_on"), ("patterns", "is_uncluttered"),
+                       ("structure", "recognize_line_graph_triangle_free")]
+    assert not defined & {"_krausz", "_line_cover"}
 
 
 def test_member_case_builds_the_complement_only_for_line_and_candled_probes(

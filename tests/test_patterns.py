@@ -7,7 +7,7 @@ from uncluttered import Graph, InputError
 import uncluttered.patterns as P
 from uncluttered.graph import _mask_to_tuple
 from uncluttered.patterns import _has_antifork, _has_fork
-from uncluttered.structure import _line_cover
+from uncluttered.structure import _line_root
 
 from oracles import (
     compose_candled,
@@ -318,7 +318,7 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     def recording_walk(rows, part):
         k = part.bit_count()
         assert 2 * sum(r.bit_count() for r in rows) <= k * (k - 1)
-        walk = _line_cover(rows, part)
+        walk = _line_root(rows, part)
         walks.append((part, list(rows), walk is not None))
         return walk
 
@@ -338,7 +338,7 @@ def test_membership_searches_only_the_sparser_side(rng, monkeypatch):
     clawed = Graph(6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 5)])
     co_line = line.complement()
     inputs = [line, co_line, candled, candled1, beside, clawed]
-    monkeypatch.setattr(P, "_line_cover", recording_walk)
+    monkeypatch.setattr(P, "_line_root", recording_walk)
     monkeypatch.setattr(P, "_has_fork", recording("fork", _has_fork))
     monkeypatch.setattr(P, "_has_antifork", recording("antifork", _has_antifork))
     monkeypatch.setattr(Graph, "complement", counted_complement)
@@ -474,7 +474,7 @@ def test_crowded_is_empty_on_line_graphs_of_triangle_free_roots(rng):
             rows = [c.full_mask & ~r & ~(1 << v) for v, r in enumerate(c.adj)]
             for h, h_rows in ((g, g.adj), (c, rows)):
                 assert crowded_mask(h_rows, h.full_mask) == 0, U.to_graph6(h)
-                assert _line_cover(h_rows, h.full_mask) is not None, U.to_graph6(h)
+                assert _line_root(h_rows, h.full_mask) is not None, U.to_graph6(h)
 
 
 def _walk_agrees_with_crowded(g, part):
@@ -482,8 +482,8 @@ def _walk_agrees_with_crowded(g, part):
     reference crowded mask (oracles.crowded_mask) on the same rows; the
     walk on g's unmasked rows is the same walk."""
     rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(g.adj)]
-    accepted = _line_cover(rows, part) is not None
-    assert _line_cover(g.adj, part) == _line_cover(rows, part)
+    accepted = _line_root(rows, part) is not None
+    assert _line_root(g.adj, part) == _line_root(rows, part)
     assert accepted == (crowded_mask(rows, part) == 0), (U.to_graph6(g), part)
     return accepted
 

@@ -159,7 +159,8 @@ def _masked_roots_agree(g, mask):
     for rows, host in ((g.adj, h), (co_rows, h.complement())):
         rg = U.recognize_line_graph_triangle_free(host)
         found = _line_root(rows, mask)
-        assert found == (rg and (rg.root.adj, rg.edge_map)), (U.to_graph6(g), mask)
+        got = found and (tuple(found[0]), tuple(found[1]))
+        assert got == (rg and (rg.root.adj, rg.edge_map)), (U.to_graph6(g), mask)
         accepted += found is not None
     return accepted
 
