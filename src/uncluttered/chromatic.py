@@ -6,10 +6,10 @@ components, stack across anticomponents, extend over a simplicial vertex,
 copy across nonadjacent twins, and bottom out in one of two base cases.  A
 line graph of a triangle-free root inherits the root's edge coloring by
 Misra and Gries's fan construction (at most max degree + 1 colors, kept in
-one index of colors by vertex, each fan walked once to the least landing
-index); the complement of one is colored through a greedy maximal
-matching, whose matched endpoints cover every root edge and hand each one
-the color of its smallest covering endpoint.
+flat lists of each vertex's neighbour by color, each fan walked once to
+the least landing index); the complement of one is colored through a
+greedy maximal matching, whose matched endpoints cover every root edge and
+hand each one the color of its smallest covering endpoint.
 
 The same recursion returns the clique number of each part, because every
 step keeps it exact: the maximum over components, the sum over
@@ -164,44 +164,41 @@ def vizing_edge_color(h: Graph) -> EdgeColoring:
     color free at f_{i-1} and new to the fan; with c least free at u and d
     at the fan's end, flips the d/c path from u if d is busy at u; then
     walks the fan once to the least j where d is free, shifts the colors of
-    (u, f_1..f_j) one step back and gives (u, f_j) d.  The one index is
-    ``at[x]`` (color -> neighbour), with ``used[x]`` its busy-color mask.
+    (u, f_1..f_j) one step back and gives (u, f_j) d.  Colors live in flat
+    lists: ``at[x][c]`` is x's neighbour by color c, or -1, for the max
+    degree + 1 colors, and ``used[x]`` is x's busy-color mask; the
+    assignment is read off ``at``.
     """
-    at: list[dict[int, int]] = [{} for _ in range(h.n)]
+    width = max(map(int.bit_count, h.adj), default=0) + 1
+    at = [[-1] * width for _ in range(h.n)]
     used = [0] * h.n
-
-    def paint(a: int, b: int, c: int) -> None:
-        at[a][c], at[b][c] = b, a
-        used[a] |= 1 << c
-        used[b] |= 1 << c
-
-    def wipe(a: int, b: int, c: int) -> None:
-        del at[a][c], at[b][c]
-        used[a] &= ~(1 << c)
-        used[b] &= ~(1 << c)
-
-    def least_free(x: int) -> int:
-        return (~used[x] & used[x] + 1).bit_length() - 1
-
-    for u, v in h.edges():
-        # cols[i] is the color of (u, fan[i]); left: u's colors not in the fan.
-        fan, cols, left = [v], [-1], used[u]
-        while m := left & ~used[fan[-1]]:
+    edges = h.edges()
+    for u, v in edges:
+        at_u = at[u]
+        # cols[i] is the color of (u, fan[i]); left: u's colors not in the
+        # fan; end: the busy colors of the fan's last vertex.
+        busy = left = used[u]
+        fan, cols, end = [v], [-1], used[v]
+        while m := left & ~end:
             col = (m & -m).bit_length() - 1
             left ^= 1 << col
-            fan.append(at[u][col])
+            f = at_u[col]
+            fan.append(f)
             cols.append(col)
-        c, d = least_free(u), least_free(fan[-1])
-        if used[u] >> d & 1:
-            # c is free at u: a path, and only its first edge is at u.
-            path, x, col = [], u, d
-            while col in at[x]:
-                path.append((x, at[x][col], col))
-                x, col = at[x][col], c if col == d else d
-            for a, b, col in path:
-                wipe(a, b, col)
-            for a, b, col in path:
-                paint(a, b, c if col == d else d)
+            end = used[f]
+        c = (~busy & busy + 1).bit_length() - 1
+        d = (~end & end + 1).bit_length() - 1
+        if busy >> d & 1:
+            # c is free at u: a path, and only its first edge is at u.  Each
+            # path vertex swaps its c and d entries and mask bits.
+            x, col = u, d
+            while x >= 0:
+                row = at[x]
+                nxt = row[col]
+                row[c], row[d] = row[d], row[c]
+                if (used[x] >> c ^ used[x] >> d) & 1:
+                    used[x] ^= 1 << c | 1 << d
+                x, col = nxt, c + d - col
             cols = [c if col == d else col for col in cols]
         # Stop where d is free, or where a step no longer is a fan step.
         j = 0
@@ -209,11 +206,17 @@ def vizing_edge_color(h: Graph) -> EdgeColoring:
                and not used[fan[j]] >> cols[j + 1] & 1):
             j += 1
         for i in range(1, j + 1):
-            wipe(u, fan[i], cols[i])
-            paint(u, fan[i - 1], cols[i])
-        paint(u, fan[j], d)
-    color_at = [{b: c for c, b in row.items()} for row in at]
-    assignment = {(a, b): color_at[a][b] for a, b in h.edges()}
+            a, b, col = fan[i], fan[i - 1], cols[i]
+            at_u[col] = b
+            at[a][col] = -1
+            used[a] ^= 1 << col
+            at[b][col] = u
+            used[b] |= 1 << col
+        w = fan[j]
+        at_u[d], at[w][d] = w, u
+        used[u] |= 1 << d
+        used[w] |= 1 << d
+    assignment = {e: at[e[0]].index(e[1]) for e in edges}
     return EdgeColoring(assignment, len(set(assignment.values())))
 
 
@@ -352,6 +355,15 @@ def _color_on(g: Graph, within: int, cols: list[int], base: int,
     removing one of two nonadjacent twins keeps it connected and
     co-connected, as the other twin takes its place in every path of g and
     of the complement.
+
+    The rules are total on members: a connected, co-connected part falls
+    to a non-disconnected case of the decomposition theorem, and each case
+    leaves a rule.  Adjacent simplicial twins are simplicial; the
+    complement's are nonadjacent twins; the line cases give a root of the
+    rows or of the complement's; a candled part has twins in a stable part
+    of two vertices, else a simplicial clique-part vertex, and an
+    anti-candled part twins in a clique part of two, else a simplicial
+    base vertex.
     """
     if not within:
         return 0, 0

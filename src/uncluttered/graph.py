@@ -16,7 +16,8 @@ over ``_refine`` pruned by the automorphisms it finds; ``are_isomorphic``
 compares two keys.  The census takes a graph's automorphism generators
 from the same search (``_automorphism_generators``), adding the twin swaps
 that the search skips without recording.  Twin classes, open or closed,
-come from one grouping of equal rows (``_row_classes``).
+come from one grouping of equal rows (``_row_classes``); the twin finders
+enter it only after a C-level set of their rows shows two that agree.
 """
 
 from __future__ import annotations
@@ -278,7 +279,9 @@ def _row_classes(rows: tuple[int, ...] | list[int], within: int) -> list[int]:
     least member; a vertex whose row no other shares is a class of its own.
 
     On open rows (``adj``) a class holds pairwise nonadjacent twins, on
-    closed rows (``adj[v] | 1 << v``) pairwise adjacent ones.
+    closed rows (``adj[v] | 1 << v``) pairwise adjacent ones.  The twin
+    finders of ``modular`` call it only once ``set`` has found two equal
+    rows, so a twin-free graph skips this Python loop.
     """
     classes: dict[int, int] = {}
     for v in _mask_to_tuple(within):

@@ -83,10 +83,11 @@ def from_edge_list(text: str) -> Graph:
     tokens = text.split()
     if not tokens:
         raise InputError("empty edge list")
-    try:
-        numbers = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise InputError(f"edge list is not whitespace-separated integers: {exc}") from None
+    for t in tokens:
+        # int() alone would also read '1_1', '+3' and non-ASCII digits
+        if not (t.isascii() and t.removeprefix("-").isdigit()):
+            raise InputError(f"edge list token {t!r} is not an ASCII decimal integer")
+    numbers = [int(t) for t in tokens]
     n = numbers[0]
     rest = numbers[1:]
     if len(rest) % 2:

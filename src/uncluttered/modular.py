@@ -11,9 +11,11 @@ one closed row, and that row is a clique, which is what the certificate
 verifier rechecks.
 
 The simplicial and twin kernels take rows and a vertex mask ``within``, so the
-colorer searches an induced part in the graph's own labels; twins come from
-one grouping of equal rows (``graph._row_classes``), whose first class with
-two members gives the least pair as a pair scan would.
+colorer searches an induced part in the graph's own labels.  A twin finder
+first sets the rows it holds, one C-level pass: when no two agree it returns
+None; otherwise twins come from one grouping of equal rows
+(``graph._row_classes``), whose first class with two members gives the least
+pair as a pair scan would.
 """
 
 from __future__ import annotations
@@ -45,7 +47,10 @@ def _simplicial_in(adj: tuple[int, ...], within: int) -> int | None:
 
 def _nonadjacent_twins_in(adj: tuple[int, ...], within: int) -> tuple[int, int] | None:
     """Least pair u < v of ``within`` with ``adj[u] & within == adj[v] & within``;
-    equal rows make u and v nonadjacent, as no row holds its own vertex."""
+    equal rows make u and v nonadjacent, as no row holds its own vertex.
+    Distinct masked rows over all of ``adj`` rule out a pair inside ``within``."""
+    if len(set(map(within.__and__, adj))) == len(adj):
+        return None
     for twins in _row_classes(adj, within):
         if twins & twins - 1:
             return _mask_to_tuple(twins)[:2]
@@ -79,6 +84,8 @@ def find_adjacent_simplicial_twins(g: Graph) -> tuple[int, int] | None:
     is a clique gives the pair.
     """
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    if len(set(closed)) == len(closed):
+        return None
     for twins in _row_classes(closed, g.full_mask):
         if twins & twins - 1 and _is_clique_mask(g.adj, closed[twins.bit_length() - 1]):
             return _mask_to_tuple(twins)[:2]
@@ -94,6 +101,8 @@ def _anti_simplicial_twins(g: Graph) -> tuple[int, int] | None:
     twins included, is stable in g.
     """
     adj, full = g.adj, g.full_mask
+    if len(set(adj)) == len(adj):
+        return None
     for twins in _row_classes(adj, full):
         if twins & twins - 1:
             far = full & ~adj[twins.bit_length() - 1]

@@ -147,6 +147,23 @@ def no_dominating_clique(g):
                    for sub in combinations(range(g.n), size))
 
 
+def pair_scan_twins(g, vs):
+    """Least pair u < v of the vertices vs whose neighbourhoods inside vs
+    are equal, by scanning every pair."""
+    inside = set(vs)
+    near = {v: inside.intersection(g.neighbors(v)) for v in inside}
+    return next(((u, v) for u, v in combinations(sorted(inside), 2) if near[u] == near[v]), None)
+
+
+def pair_scan_simplicial_twins(g):
+    """Least pair u < v of adjacent vertices with one closed neighbourhood
+    that is a clique, by scanning every pair."""
+    closed = [set(g.neighbors(v)) | {v} for v in range(g.n)]
+    return next(((u, v) for u, v in combinations(range(g.n), 2)
+                 if g.has_edge(u, v) and closed[u] == closed[v]
+                 and _pairwise_adjacent(g, sorted(closed[u]))), None)
+
+
 def naive_isomorphic(g, h):
     """True iff some permutation of g's vertices maps its edges onto h's."""
     if g.n != h.n or g.edge_count() != h.edge_count():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,8 @@ from uncluttered import Graph, InputError, NotUnclutteredError
 import uncluttered.chromatic as C
 from uncluttered.chromatic import _compress, _cover_colors, _max_matching
 from uncluttered.graph import _mask_to_tuple
+from uncluttered.modular import _nonadjacent_twins_in, _simplicial_in
+from uncluttered.structure import _line_root
 
 from oracles import (
     compose_candled,
@@ -167,6 +170,35 @@ def test_vizing_assignments_are_frozen(census, rng):
         lines.append(f"{sorted(ec.assignment.items())} {ec.num_colors}")
     assert len(lines) == 509
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VIZING_SHA256
+
+
+# SHA-256 of the same lines for the graphs below, taken before the fan kept
+# its colors in flat lists of width max degree + 1.
+WIDE_VIZING_SHA256 = "a3f97a60ea8928bf118ed3c37ae6fd728f012c5ad17cd960756f4772d3a438b8"
+
+
+def test_vizing_assignments_are_frozen_at_the_index_width():
+    """The star K1,63, the 65-vertex root of the path on 64 vertices, a
+    dense bipartite graph and K33 (both of max degree 32) keep every color,
+    within max degree + 1 colors; K33 needs all of them."""
+    p64 = U.path_graph(64)
+    rng = random.Random(32)
+    graphs = [
+        Graph(64, [(0, i) for i in range(1, 64)]),
+        Graph.from_rows(_line_root(p64.adj, p64.full_mask)[0]),
+        Graph(64, [(a, b) for a in range(32) for b in range(32, 64)
+                   if a == 0 or rng.random() < 0.75]),
+        U.complete_graph(33),
+    ]
+    lines = []
+    for g in graphs:
+        ec = U.vizing_edge_color(g)
+        delta = max(g.degree(v) for v in range(g.n))
+        assert U.is_proper_edge_coloring(g, ec.assignment)
+        assert ec.num_colors <= delta + 1
+        lines.append(f"{sorted(ec.assignment.items())} {ec.num_colors}")
+    assert [g.n for g in graphs] == [64, 65, 64, 33] and ec.num_colors == 33
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WIDE_VIZING_SHA256
 
 
 def test_cover_coloring_frozen_values():
@@ -391,3 +423,66 @@ def test_colorer_skips_only_sweeps_its_caller_has_proven(uncluttered_census, rng
     monkeypatch.setattr(C, "_color_on", lambda g, within, cols, base, *proven:
                         color_on(g, within, cols, base))
     assert [U.color_uncluttered(g) for g in graphs] == expected
+
+
+def _tree_nodes(tree):
+    yield tree
+    for child in tree.children:
+        yield from _tree_nodes(child)
+
+
+def _candled_compositions(rng, pool, count):
+    """Candelabra joined to a census member, relabelled and complemented
+    half the time; the few that classify misses are left out."""
+    out = []
+    for _ in range(count):
+        cand, _, zs = random_candelabrum(rng, max_k=4, max_part=3)
+        g = _shuffled(rng, compose_candled(pool[rng.randrange(len(pool))], cand,
+                                           [v for z in zs for v in z]))
+        g = g.complement() if rng.random() < 0.5 else g
+        try:
+            out.append(U.decomposition_tree(g))
+        except U.TheoremViolationError:
+            pass
+    return out
+
+
+def test_color_on_has_a_rule_for_every_case(uncluttered_census, rng):
+    """On every connected, co-connected decomposition tree node of the
+    census members and of seeded candled compositions (the census has no
+    such candled node), the node's case leaves the colorer one of its
+    rules: the rule its docstring names for that case hits."""
+    pool = [g for n in range(8) for g in uncluttered_census[n]]
+    trees = [U.decomposition_tree(g) for g in pool]
+    trees += _candled_compositions(rng, pool, 120)
+    seen = {}
+    for node in (node for tree in trees for node in _tree_nodes(tree)):
+        h = node.graph
+        if not (h.n > 1 and h.is_connected() and h.is_anticonnected()):
+            continue
+        case, payload = node.certificate
+        full = h.full_mask
+        if case == "SIMPLICIAL_TWINS":
+            rule = "simplicial"
+        elif case == "ANTI_SIMPLICIAL_TWINS":
+            rule = "twins"
+        elif case.endswith("LINEGRAPH_TF"):
+            rule = "line"
+        else:
+            st = payload.candelabrum
+            parts = st.stable_parts if case == "CANDLED" else st.clique_parts
+            rule = "twins" if any(len(p) > 1 for p in parts) else "simplicial"
+        if rule == "simplicial":
+            assert _simplicial_in(h.adj, full) is not None, U.to_graph6(h)
+        elif rule == "twins":
+            assert _nonadjacent_twins_in(h.adj, full) is not None, U.to_graph6(h)
+        else:
+            co_rows = [full & ~r & ~(1 << v) for v, r in enumerate(h.adj)]
+            assert (_line_root(h.adj, full) or _line_root(co_rows, full)) is not None
+        seen[case, rule] = seen.get((case, rule), 0) + 1
+    assert sorted(seen) == [
+        ("ANTI_CANDLED", "simplicial"), ("ANTI_CANDLED", "twins"),
+        ("ANTI_LINEGRAPH_TF", "line"), ("ANTI_SIMPLICIAL_TWINS", "twins"),
+        ("CANDLED", "simplicial"), ("CANDLED", "twins"),
+        ("LINEGRAPH_TF", "line"), ("SIMPLICIAL_TWINS", "simplicial")]
+    assert min(seen.values()) >= 10, seen

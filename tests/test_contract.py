@@ -138,7 +138,8 @@ RAISERS = [
     ("enumerate_graphs", U.enumerate_graphs, 3, [9], ()),
     ("from_graph6", U.from_graph6, "Dhc", [b"Dhc", ["Dhc"], "Dh", "Dhcc"], ()),
     ("from_edge_list", U.from_edge_list, "3\n0 1\n",
-     [b"3\n0 1\n", ["3", "0 1"], "3\n0", "3\n0 1 2", "3\n0 3"], ()),
+     [b"3\n0 1\n", ["3", "0 1"], "3\n0", "3\n0 1 2", "3\n0 3",
+      "1_1\n0 1", "3\n0 +1", "\u0663\n0 1"], ()),
     ("audit.n_max", lambda v: U.audit(v, suites=("main-theorem",)), 3, [9], ()),
     ("audit.suites", lambda v: U.audit(1, suites=v), ("main-theorem",),
      ["main-theorem", (), ("main-theorem", "main-theorem"), [["main-theorem"]]], (None,)),

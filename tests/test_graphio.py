@@ -103,7 +103,9 @@ def test_edge_list_parsing():
     assert U.from_edge_list("3\n0 1\n1 2\n") == U.path_graph(3)
     assert U.from_edge_list("  3\n0   1\n1 2") == U.path_graph(3)
     assert U.from_edge_list("2") == U.edgeless_graph(2)
-    for bad in ("", "x", "2\n0", "2\n0 2", "2\n0 x", "1\n0 0"):
+    # int() would read the last three as 11, 1 and 3
+    for bad in ("", "x", "2\n0", "2\n0 2", "2\n0 x", "1\n0 0",
+                "1_1\n0 1", "3\n0 +1", "\u0663\n0 1"):
         with pytest.raises(InputError):
             U.from_edge_list(bad)
 

@@ -1,4 +1,5 @@
 import uncluttered as U
+import uncluttered.modular as M
 from uncluttered import Graph
 from uncluttered.graph import _mask_to_tuple
 from uncluttered.modular import (
@@ -8,7 +9,13 @@ from uncluttered.modular import (
     _simplicial_in,
 )
 
-from oracles import exhaustive_candled, random_graph
+from oracles import (
+    exhaustive_candled,
+    pair_scan_simplicial_twins,
+    pair_scan_twins,
+    random_connected_triangle_free,
+    random_graph,
+)
 
 
 def is_homogeneous(g, members):
@@ -169,3 +176,72 @@ def test_prime_uncluttered_filter_implies_no_module(uncluttered_census):
             checked += 1
             assert U.find_nontrivial_homogeneous_set(g) is None, U.to_graph6(g)
     assert checked == 15
+
+
+def _line_graph(rng, m):
+    """Line graph of m edges of a seeded triangle-free root, relabelled."""
+    while True:
+        root = random_connected_triangle_free(rng, rng.randint(m // 2 + 2, m + 1))
+        if root.edge_count() >= m:
+            line = U.line_graph(Graph(root.n, rng.sample(root.edges(), m)))
+            label = rng.sample(range(m), m)
+            return Graph(m, [(label[a], label[b]) for a, b in line.edges()])
+
+
+def _with_twin(g, v, closed):
+    """g plus a vertex g.n whose row copies v's open row, or its closed row."""
+    row = g.adj[v] | (1 << v if closed else 0)
+    return Graph(g.n + 1, g.edges() + [(u, g.n) for u in _mask_to_tuple(row)])
+
+
+def _twin_finders(g):
+    return (U.find_adjacent_simplicial_twins(g), _anti_simplicial_twins(g),
+            _nonadjacent_twins_in(g.adj, g.full_mask))
+
+
+def test_twin_finders_agree_with_a_pair_scan_up_to_64_vertices(rng):
+    """On seeded line graphs of triangle-free roots with 20..63 vertices,
+    their complements, and each with a planted open-row twin and a planted
+    closed-row twin of a simplicial vertex, every finder equals the pair
+    scan; the masked finder also on random partial masks."""
+    hits = [0, 0, 0, 0]
+    for _ in range(12):
+        line = _line_graph(rng, rng.randint(20, 63))
+        for h in (line, line.complement()):
+            s = U.find_simplicial_vertex(h)
+            for g in (h, _with_twin(h, rng.randrange(h.n), False),
+                      _with_twin(h, rng.randrange(h.n) if s is None else s, True)):
+                got = _twin_finders(g)
+                assert got == (pair_scan_simplicial_twins(g),
+                               pair_scan_simplicial_twins(g.complement()),
+                               pair_scan_twins(g, range(g.n))), U.to_graph6(g)
+                for _ in range(6):
+                    within = rng.getrandbits(g.n) & rng.getrandbits(g.n) | rng.getrandbits(g.n)
+                    pair = _nonadjacent_twins_in(g.adj, within)
+                    assert pair == pair_scan_twins(g, _mask_to_tuple(within)), U.to_graph6(g)
+                    hits[3] += pair is not None
+                for i, pair in enumerate(got):
+                    hits[i] += pair is not None
+    assert min(hits) >= 8, hits
+
+
+def test_twin_finders_group_rows_only_when_two_agree(rng, monkeypatch):
+    """No finder groups the rows of a twin-free 40-vertex line graph; each
+    groups them once a planted twin makes two of its rows equal."""
+    while True:
+        g = _line_graph(rng, 40)
+        if pair_scan_twins(g, range(40)) is pair_scan_twins(g.complement(), range(40)) is None:
+            break
+    grouped = []
+    row_classes = M._row_classes
+    monkeypatch.setattr(M, "_row_classes", lambda rows, within: grouped.append(
+        within) or row_classes(rows, within))
+    assert _twin_finders(g) == (None, None, None) and grouped == []
+    v = U.find_simplicial_vertex(g)
+    assert v is not None
+    opened, closed = _with_twin(g, v, False), _with_twin(g, v, True)
+    assert _anti_simplicial_twins(opened) == pair_scan_simplicial_twins(opened.complement())
+    assert _nonadjacent_twins_in(opened.adj, opened.full_mask) == (v, 40)
+    assert grouped == [opened.full_mask] * 2
+    assert U.find_adjacent_simplicial_twins(closed) == (v, 40)
+    assert grouped == [opened.full_mask] * 3
