@@ -149,9 +149,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "coloring of graphs with no induced fork or antifork.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_stream_flags(p):
+    def add_from_flag(p):
         p.add_argument("--from", dest="from_file", metavar="FILE",
                        help="read input from FILE instead of stdin")
+
+    def add_stream_flags(p):
+        add_from_flag(p)
         p.add_argument("--edge-list", action="store_true",
                        help="input is blank-line-separated edge-list blocks "
                             "(first line n, then one 'u v' pair per line)")
@@ -169,11 +172,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("encode", help="edge-list blocks to graph6 lines")
-    p.add_argument("--from", dest="from_file", metavar="FILE")
+    add_from_flag(p)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="graph6 lines to edge-list blocks")
-    p.add_argument("--from", dest="from_file", metavar="FILE")
+    add_from_flag(p)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("audit", help="exhaustive lemma suites over small graphs")

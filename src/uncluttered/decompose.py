@@ -7,20 +7,36 @@ on g and then on its complement, where a hit is named with the ``ANTI_``
 prefix.  classify returns the first hit in that order together with
 evidence; verify_certificate rechecks the evidence from scratch, sharing no
 state with the classifier beyond the basic graph predicates, and reads an
-``ANTI_`` case as the base case on the complement.  decomposition_tree
-recognizes membership once, at its root: the class is hereditary, so every
-node below is a member and is only split.
+``ANTI_`` case as the base case on the complement.
+
+decomposition_tree builds the tree first and lets it prove membership.
+The fork and the antifork are connected and co-connected, so a graph is a
+member exactly when its components are, and exactly when its
+anticomponents are.  Removing one of two adjacent simplicial twins keeps
+membership both ways: the fork has no adjacent twins, and the antifork's
+one adjacent pair is not simplicial, so a fork or antifork through the
+removed twin misses the other and can take it instead.  Nonadjacent twins
+with a stable common non-neighbourhood are the complement's case, and the
+class is closed under complement.  Line-graph leaves are claw- and
+diamond-free, so they hold neither pattern.  A node that reaches the
+candled probes is connected, co-connected and a line graph on neither
+side, exactly a part that membership's Krausz walk rejects; there the fork
+and antifork searches of patterns decide it, and a node they clear is a
+member, with every node below it, as the class is hereditary.  Each node
+tells its children what it proved: a component is connected, an
+anticomponent co-connected, a twin removal keeps both, and below a cleared
+node the searches are skipped.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import InputError, NotUnclutteredError, TheoremViolationError
-from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
+from .graph import Graph, _component_masks, _induced, _is_clique_mask, _mask_to_tuple
 from .graphio import to_graph6
 from .modular import _anti_simplicial_twins, find_adjacent_simplicial_twins
-from .patterns import PatternWitness, is_uncluttered
+from .patterns import PatternWitness, _holds_fork_or_antifork, is_uncluttered
 from .structure import (
     CandelabrumStructure,
     CandledDecomposition,
@@ -51,46 +67,67 @@ def classify(g: Graph) -> Certificate:
     witness = is_uncluttered(g)
     if witness is not None:
         return Certificate("NOT_UNCLUTTERED", witness)
-    return _member_case(g)
+    cert = _member_case(g, True)
+    if cert is None:
+        _matched_no_case(g)
+    return cert
 
 
-def _member_case(g: Graph) -> Certificate:
-    """classify for a graph already known to be uncluttered.
+def _matched_no_case(g: Graph) -> NoReturn:
+    raise TheoremViolationError(
+        f"uncluttered graph {to_graph6(g)!r} matched no decomposition case")
 
+
+def _member_case(g: Graph, member: bool = False, connected: bool = False,
+                 anticonnected: bool = False) -> Certificate | None:
+    """classify for a graph that is a member or is to be proven one; None
+    when g matches no case, or when g, not known to be a member, holds a
+    fork or an antifork.
+
+    ``member``, ``connected`` and ``anticonnected`` say what the caller has
+    proven of g; the last two skip the sweep that would only confirm them.
     Each case is tried on g and then on its complement, whose hit is named
     with the ANTI_ prefix.  The first two complement probes read g's own
     rows: anticomponents come from the flipped sweep, and the complement's
     adjacent simplicial twins are g's nonadjacent twins whose shared
     non-neighbourhood is stable.  The complement is built only for the line
-    and candled probes.
+    and candled probes.  A graph that reaches the candled probes is
+    connected, co-connected and a line graph on neither side, so unless it
+    is known to be a member the fork and antifork searches decide it there
+    (patterns._holds_fork_or_antifork).
     """
     if g.n <= 1:
         return Certificate("SMALL", None)
     adj, full = g.adj, g.full_mask
-    for case, flip in (("DISCONNECTED", 0), ("ANTI_DISCONNECTED", full)):
-        comps = _component_masks(adj, full, flip)
-        if len(comps) > 1:
-            # From a list, not a bare iterator, which tuple() over-allocates.
-            return Certificate(case, tuple([_mask_to_tuple(m) for m in comps]))
+    for case, flip, known in (("DISCONNECTED", 0, connected),
+                              ("ANTI_DISCONNECTED", full, anticonnected)):
+        if not known:
+            comps = _component_masks(adj, full, flip)
+            if len(comps) > 1:
+                # From a list, not a bare iterator, which tuple() over-allocates.
+                return Certificate(case, tuple([_mask_to_tuple(m) for m in comps]))
     pair = find_adjacent_simplicial_twins(g)
     if pair is not None:
         return Certificate("SIMPLICIAL_TWINS", pair)
     pair = _anti_simplicial_twins(g)
     if pair is not None:
         return Certificate("ANTI_SIMPLICIAL_TWINS", pair)
-    gc = None
-    for case, find in (("LINEGRAPH_TF", recognize_line_graph_triangle_free),
-                       ("CANDLED", detect_candled)):
-        payload = find(g)
-        if payload is not None:
-            return Certificate(case, payload)
-        if gc is None:
-            gc = g.complement()
-        payload = find(gc)
-        if payload is not None:
-            return Certificate("ANTI_" + case, payload)
-    raise TheoremViolationError(
-        f"uncluttered graph {to_graph6(g)!r} matched no decomposition case")
+    payload = recognize_line_graph_triangle_free(g)
+    if payload is not None:
+        return Certificate("LINEGRAPH_TF", payload)
+    gc = g.complement()
+    payload = recognize_line_graph_triangle_free(gc)
+    if payload is not None:
+        return Certificate("ANTI_LINEGRAPH_TF", payload)
+    if not member and _holds_fork_or_antifork(adj, full):
+        return None
+    payload = detect_candled(g)
+    if payload is not None:
+        return Certificate("CANDLED", payload)
+    payload = detect_candled(gc)
+    if payload is not None:
+        return Certificate("ANTI_CANDLED", payload)
+    return None
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
@@ -147,40 +184,62 @@ class DecompositionTree(NamedTuple):
 
 
 def decomposition_tree(g: Graph) -> DecompositionTree:
-    """Recursively classify g down to leaves.
+    """Recursively classify g down to leaves; NotUnclutteredError with the
+    least witness when g is not uncluttered.
 
     Components, anticomponents, twin-removals, and candled rests each recurse
     on a strictly smaller induced subgraph; SMALL, the two line-graph cases,
     and pure candelabra (candled with empty rest) are leaves.  So the tree is
     at most n levels deep (one level for n <= 1).  A candled node with a
     nonempty rest carries the candelabrum part as an explicit leaf child
-    ahead of the rest's subtree.  Membership is recognized once, at the
-    root: every node below is an induced subgraph of g, and the class is
-    hereditary.
+    ahead of the rest's subtree.
+
+    The tree is built first and proves membership as it goes (see the
+    module docstring): a split node is a member exactly when its children
+    are, a line-graph leaf is one, and the fork and antifork searches decide
+    the topmost nodes that reach the candled probes, whose subtrees are then
+    members by heredity.  Only when a search hits, or a node matches no
+    case, does is_uncluttered run, once, on g: its witness is raised, and
+    without one the node is a theorem violation.
     """
-    witness = is_uncluttered(g)
-    if witness is not None:
-        raise NotUnclutteredError(witness)
-    return _member_tree(g)
+    return _member_tree(g, g, False)
 
 
-def _member_tree(g: Graph) -> DecompositionTree:
-    cert = _member_case(g)
+def _member_tree(root: Graph, g: Graph, member: bool, connected: bool = False,
+                 anticonnected: bool = False) -> DecompositionTree:
+    """The tree of g, a node of root's tree, given what its parent proved:
+    a component is connected, an anticomponent co-connected, a twin removal
+    keeps both, and a candled node is a member."""
+    cert = _member_case(g, member, connected, anticonnected)
+    if cert is None:
+        witness = is_uncluttered(root)
+        if witness is not None:
+            raise NotUnclutteredError(witness)
+        _matched_no_case(g)
     case = cert.case.removeprefix("ANTI_")
+    adj = g.adj
     children: list[DecompositionTree] = []
     if case == "DISCONNECTED":
+        split = cert.case == case
         for part in cert.payload:
-            children.append(_member_tree(g.induced(part)))
+            children.append(_member_tree(root, _induced(adj, _vertex_mask(part)),
+                                         member, split, not split))
     elif case == "SIMPLICIAL_TWINS":
-        u = cert.payload[0]
-        rest = [w for w in range(g.n) if w != u]
-        children.append(_member_tree(g.induced(rest)))
+        rest = g.full_mask & ~(1 << cert.payload[0])
+        children.append(_member_tree(root, _induced(adj, rest), member, True, True))
     elif case == "CANDLED":
         dec = cert.payload
         if dec.rest:
             children.append(_candelabrum_leaf(g, cert.case, dec))
-            children.append(_member_tree(g.induced(dec.rest)))
+            children.append(_member_tree(root, _induced(adj, _vertex_mask(dec.rest)), True))
     return DecompositionTree(g, cert, tuple(children))
+
+
+def _vertex_mask(vs: tuple[int, ...]) -> int:
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return mask
 
 
 def _candelabrum_leaf(g: Graph, case: str, dec: CandledDecomposition) -> DecompositionTree:
@@ -192,7 +251,7 @@ def _candelabrum_leaf(g: Graph, case: str, dec: CandledDecomposition) -> Decompo
         tuple(tuple(sorted(index[v] for v in p)) for p in st.clique_parts),
         tuple(tuple(sorted(index[v] for v in p)) for p in st.stable_parts),
     )
-    sub = g.induced(body)
+    sub = _induced(g.adj, _vertex_mask(body))
     cert = Certificate(case, CandledDecomposition(local, ()))
     return DecompositionTree(sub, cert, ())
 

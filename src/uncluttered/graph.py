@@ -6,9 +6,9 @@ induced subgraphs, component sweeps) down to a handful of integer operations.
 All set-valued results come back as ascending tuples, and list-valued results
 are ordered by smallest member, so downstream output is reproducible.
 
-The private mask kernels (clique, component sweep, and the
-complete/anticomplete/mixed split of outside vertices) take rows and vertex
-masks, which they trust to hold vertices of the graph.
+The private mask kernels (induced subgraph, clique, component sweep, and
+the complete/anticomplete/mixed split of outside vertices) take rows and
+vertex masks, which they trust to hold vertices of the graph.
 They are the one implementation of each check, and the other layers call
 them on parts of a graph in its own labels.  Isomorphism has one engine:
 the canonical form ``invariant_key``, an individualization-refinement search
@@ -142,33 +142,13 @@ class Graph:
     def induced(self, vs: Iterable[int]) -> "Graph":
         """Subgraph induced on ``vs``, relabeled to 0..k-1 in ascending order;
         the graph itself when ``vs`` holds every vertex.  Every item of ``vs``
-        must be an int (not a bool) in 0..n-1.
-
-        Each maximal run of consecutive kept labels moves down to its new
-        place in every kept row with one mask and one shift.
-        """
+        must be an int (not a bool) in 0..n-1; the rows come from
+        ``_induced``."""
         keep = 0
         for v in _iterate(vs, "vertices"):
             self._check(v)
             keep |= 1 << v
-        if keep == self.full_mask:
-            return self
-        moves = []  # (run mask, dropped labels below it)
-        m = keep
-        while m:
-            low = m & -m
-            run = m & ~(m + low)
-            moves.append((run, (low - 1 & ~keep).bit_count()))
-            m ^= run
-        rows = []
-        for run, _ in moves:
-            for v in range(run.bit_length() - run.bit_count(), run.bit_length()):
-                row = self.adj[v]
-                new = 0
-                for mask, shift in moves:
-                    new |= (row & mask) >> shift
-                rows.append(new)
-        return Graph.from_rows(rows)
+        return self if keep == self.full_mask else _induced(self.adj, keep)
 
     # -- connectivity -----------------------------------------------------
 
@@ -206,6 +186,31 @@ class Graph:
 
 
 # -- bitmask kernels ------------------------------------------------------
+
+
+def _induced(adj: tuple[int, ...], keep: int) -> Graph:
+    """The subgraph that the rows induce on the vertex mask ``keep``,
+    relabeled to 0..k-1 in ascending order.
+
+    Each maximal run of consecutive kept labels moves down to its new
+    place in every kept row with one mask and one shift.
+    """
+    moves = []  # (run mask, dropped labels below it)
+    m = keep
+    while m:
+        low = m & -m
+        run = m & ~(m + low)
+        moves.append((run, (low - 1 & ~keep).bit_count()))
+        m ^= run
+    rows = []
+    for run, _ in moves:
+        for v in range(run.bit_length() - run.bit_count(), run.bit_length()):
+            row = adj[v]
+            new = 0
+            for mask, shift in moves:
+                new |= (row & mask) >> shift
+            rows.append(new)
+    return Graph.from_rows(rows)
 
 
 def _is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:

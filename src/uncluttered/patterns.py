@@ -23,7 +23,9 @@ claw- and diamond-free ones, exactly the line graphs of triangle-free
 graphs (Beineke 1970; Harary and Holzmann 1974), so the Krausz walk that
 recovers their roots decides them in O(n) (structure._line_root).  A part
 the walk rejects gets one bitset fork search and one bitset antifork search
-over all of its vertices, both polynomial in n.
+over all of its vertices, both polynomial in n.  One function decides a
+part so (_holds_fork_or_antifork), and decompose calls it too, on the
+nodes of a decomposition tree that reach the candled probes.
 
 Only a non-member pays for the witness scan, and only in the parts whose
 searches hit; the least of their first witnesses is the lexicographically
@@ -278,6 +280,28 @@ def _parts(rows: tuple[int, ...], within: int, full: int, flip: int = 0,
     return out
 
 
+def _holds_fork_or_antifork(adj: tuple[int, ...], part: int) -> bool:
+    """True iff the connected, co-connected ``part`` of the graph with rows
+    ``adj`` induces a fork or an antifork.
+
+    Reads the part's rows in g, or in the complement when the part has more
+    than k(k-1)/4 edges for its k vertices.  A part that is the line graph
+    of a triangle-free root (_line_root) holds neither; any other is decided
+    by one fork and one antifork search.
+    """
+    if part == (1 << len(adj)) - 1:
+        rows = adj
+    else:
+        rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(adj)]
+    k = part.bit_count()
+    if 2 * sum(map(int.bit_count, rows)) > k * (k - 1):
+        rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
+                for v, r in enumerate(rows)]
+    if _line_root(rows, part) is not None:
+        return False
+    return _has_fork(rows, part) or _has_antifork(rows, part)
+
+
 def _least_witness(adj: tuple[int, ...], part: int) -> tuple:
     """(subset, name, rows) for the first 5-subset of the vertices of
     ``part``, in lexicographic order, that induces a fork or an antifork,
@@ -321,14 +345,11 @@ def _least_witness(adj: tuple[int, ...], part: int) -> tuple:
 def is_uncluttered(g: Graph) -> PatternWitness | None:
     """None iff g has no induced fork or antifork; otherwise a witness.
 
-    Each connected, co-connected part with k >= 5 vertices (see the module
-    docstring) is read on g's rows within it, or on the complement's when
-    it has more than k(k-1)/4 edges.  A part that is the line graph of a
-    triangle-free root (_line_root) is a member; any other is decided by
-    one fork and one antifork search.  The witness is the least 5-subset,
-    over the parts that hold one, that induces a fork or an antifork
-    (_least_witness), with the least embedding read off the fork's roles,
-    so it is deterministic.
+    Each connected, co-connected part with at least five vertices (see the
+    module docstring) is decided by _holds_fork_or_antifork.  The witness
+    is the least 5-subset, over the parts that hold one, that induces a
+    fork or an antifork (_least_witness), with the least embedding read off
+    the fork's roles, so it is deterministic.
     """
     if g.n < 5:
         return None
@@ -336,17 +357,7 @@ def is_uncluttered(g: Graph) -> PatternWitness | None:
     full = g.full_mask
     best = None
     for part in _parts(adj, full, full):
-        if part == full:
-            rows = adj
-        else:
-            rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(adj)]
-        k = part.bit_count()
-        if 2 * sum(map(int.bit_count, rows)) > k * (k - 1):
-            rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
-                    for v, r in enumerate(rows)]
-        if _line_root(rows, part) is not None:
-            continue
-        if _has_fork(rows, part) or _has_antifork(rows, part):
+        if _holds_fork_or_antifork(adj, part):
             found = _least_witness(adj, part)
             if best is None or found[0] < best[0]:
                 best = found

@@ -246,6 +246,23 @@ def test_readme_names_exactly_the_cli_long_options():
     assert named == defined
 
 
+def test_every_cli_option_has_help_text():
+    """--help describes every flag; --from reads the same on each
+    subcommand that takes it."""
+    from_help = set()
+    parsers = [make_parser()]
+    while parsers:
+        p = parsers.pop()
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings:
+                assert action.help, (p.prog, action.option_strings)
+                if "--from" in action.option_strings and "audit" not in p.prog:
+                    from_help.add(action.help)
+    assert from_help == {"read input from FILE instead of stdin"}
+
+
 def test_readme_names_only_existing_api():
     """A backticked name in README prose that looks like API (it holds an
     underscore, starts uppercase or is called) must exist: on the package,

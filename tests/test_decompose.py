@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
@@ -8,15 +9,26 @@ import pytest
 
 import uncluttered as U
 from uncluttered import Certificate, Graph
-from uncluttered.decompose import certificate_json, tree_json
+from uncluttered.cli import main
+from uncluttered.decompose import _witness_json, certificate_json, tree_json
 
-from oracles import compose_candled, random_candelabrum, random_connected_triangle_free
+from oracles import (
+    compose_candled,
+    random_candelabrum,
+    random_connected_triangle_free,
+    random_graph,
+)
 
 TRIANGLE_TAIL = Graph(5, [(0, 1), (0, 4), (1, 4), (1, 2), (2, 3)])
 # SHA-256 of the certificate JSON of every census graph with n <= 7 and of
 # its complement; it pins root numbering and part order byte for byte.
 CENSUS_CERTIFICATES_SHA256 = (
     "e3a450aaba61f7d1800543ee82b222436df33193d91fc8efd931fc31f451e095")
+# SHA-256 of the decomposition_tree outcome (tree JSON, witness JSON or
+# TheoremViolationError message) of every graph in _agreement_graphs, taken
+# when the tree still recognized membership up front.
+TREE_OUTCOMES_SHA256 = (
+    "951c787da9eb7a6f7c137af175ef25bda0170dd4f7759896f4864c8dcbd19c25")
 
 
 def test_case_tuples_are_fixed():
@@ -491,7 +503,7 @@ def test_only_line_root_answers_the_line_graph_question():
             defined.add(name)
             if name != "_line_root" and "_line_root" in _references(node, None):
                 readers.append((path.stem, name))
-    assert readers == [("chromatic", "_color_on"), ("patterns", "is_uncluttered"),
+    assert readers == [("chromatic", "_color_on"), ("patterns", "_holds_fork_or_antifork"),
                        ("structure", "recognize_line_graph_triangle_free")]
     assert not defined & {"_krausz", "_line_cover"}
 
@@ -526,6 +538,8 @@ def test_member_case_builds_the_complement_only_for_line_and_candled_probes(
 
 
 def test_tree_recognizes_membership_once(monkeypatch):
+    """The tree proves membership by itself; is_uncluttered runs once, on
+    the input, only when a search hits or a node matches no case."""
     import uncluttered.decompose as D
     calls = []
 
@@ -535,12 +549,187 @@ def test_tree_recognizes_membership_once(monkeypatch):
 
     monkeypatch.setattr(D, "is_uncluttered", counting)
     t = U.decomposition_tree(U.path_graph(3))
-    assert _depth(t) >= 3
-    assert calls == [3]
-    calls.clear()
+    assert _depth(t) >= 3 and calls == []
     t = U.decomposition_tree(U.from_graph6("G?bF]{"))
-    assert _depth(t) >= 2 and calls == [8]
-    calls.clear()
-    with pytest.raises(U.NotUnclutteredError):
-        U.decomposition_tree(U.pattern("fork"))
+    assert _depth(t) >= 2 and calls == []
+    fork = U.pattern("fork")
+    with pytest.raises(U.NotUnclutteredError) as exc:
+        U.decomposition_tree(fork)
     assert calls == [5]
+    assert exc.value.witness == U.is_uncluttered(fork)
+    calls.clear()
+    with pytest.raises(U.TheoremViolationError):
+        U.decomposition_tree(U.from_graph6("IT}w@o|nw"))
+    assert calls == [10]
+
+
+def test_a_regression_beside_a_fork_is_not_uncluttered(monkeypatch, capsys):
+    """``IT}w@o|nw`` matches no case, but with a fork beside it the input is
+    not a member: the tree reports the fork, not a theorem violation."""
+    g6 = "NT}w@o|nw??@?@??_?_"
+    with pytest.raises(U.NotUnclutteredError) as exc:
+        U.decomposition_tree(U.from_graph6(g6))
+    assert exc.value.witness == U.PatternWitness("fork", (10, 11, 12, 13, 14))
+    monkeypatch.setattr("sys.stdin", io.StringIO(g6 + "\n"))
+    assert main(["decompose"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "graph6": g6, "uncluttered": False,
+        "witness": {"pattern": "fork", "embedding": [10, 11, 12, 13, 14]}}
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _seeded_member(rng, n_max):
+    """A member with at most n_max vertices: a line graph of a triangle-free
+    root, its complement, a candled composition, or a union or join of two
+    smaller members, labels shuffled."""
+    kind = rng.choice(("line", "coline", "candled", "union", "join"))
+    if kind in ("union", "join") and n_max >= 12:
+        split = rng.randint(5, n_max - 6)
+        left, right = _seeded_member(rng, split), _seeded_member(rng, n_max - split)
+        g = (U.disjoint_union if kind == "union" else U.complete_join)(left, right)
+    elif kind == "candled" and n_max >= 9:
+        cand, _, zs = random_candelabrum(rng, max_k=3, max_part=3)
+        rest = _seeded_member(rng, max(3, n_max - cand.n))
+        g = compose_candled(rest, cand, [v for z in zs for v in z])
+        if rng.random() < 0.5:
+            g = g.complement()
+    else:
+        while True:
+            g = U.line_graph(random_connected_triangle_free(rng, rng.randint(3, 12)))
+            if g.n <= n_max:
+                break
+        if kind == "coline":
+            g = g.complement()
+    return _shuffled(rng, g)
+
+
+def _agreement_graphs(census):
+    """The census n <= 7 and its complements, seeded random graphs with
+    5..14 vertices, seeded members with up to 34 vertices and near-members
+    one vertex away from them, and a known regression beside a fork."""
+    rng = random.Random(2024)
+    graphs = [h for n in range(8) for g in census[n] for h in (g, g.complement())]
+    graphs += [random_graph(rng, n, p) for n in range(5, 15) for p in (0.2, 0.5, 0.8)
+               for _ in range(4)]
+    for _ in range(150):
+        g = _seeded_member(rng, rng.randint(10, 34))
+        n = g.n + 1
+        edges = g.edges() + [(v, g.n) for v in range(g.n) if rng.random() < 0.3]
+        graphs += [g, _shuffled(rng, Graph(n, edges))]
+    graphs.append(U.from_graph6("NT}w@o|nw??@?@??_?_"))
+    return graphs
+
+
+def _tree_outcome(g):
+    try:
+        return json.dumps(tree_json(U.decomposition_tree(g)), separators=(",", ":"))
+    except U.NotUnclutteredError as exc:
+        return json.dumps(_witness_json(exc.witness), separators=(",", ":"))
+    except U.TheoremViolationError as exc:
+        return f"TheoremViolationError: {exc}"
+
+
+def test_tree_outcomes_are_frozen(census):
+    """Trees, witnesses and theorem violations are byte for byte what they
+    were when membership was checked before the tree was built."""
+    lines = [f"{U.to_graph6(g)} {_tree_outcome(g)}" for g in _agreement_graphs(census)]
+    kinds = [line.split(" ", 1)[1][:2] for line in lines]
+    assert kinds.count('{"') + kinds.count("Th") == len(lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TREE_OUTCOMES_SHA256
+
+
+def _nodes(tree, above=False):
+    """(node, whether a node above it reached the candled probes), in the
+    order the recursion builds them."""
+    yield tree, above
+    candled = tree.certificate.case.endswith("CANDLED")
+    for child in tree.children:
+        yield from _nodes(child, above or candled)
+
+
+def _candled_trees(rng, uncluttered_census):
+    """Trees of census members, seeded members, candled compositions (some
+    over a candled rest) and unions of two of them; those that match no
+    case are left out."""
+    pool = [g for n in range(8) for g in uncluttered_census[n]]
+    graphs = pool + [_seeded_member(rng, rng.randint(10, 30)) for _ in range(40)]
+    composed = []
+    for i in range(80):
+        cand, _, zs = random_candelabrum(rng, max_k=4, max_part=3)
+        # the last 20 rests are candled compositions themselves
+        rest = composed[i - 60] if i >= 60 else pool[rng.randrange(len(pool))]
+        g = compose_candled(rest, cand, [v for z in zs for v in z])
+        composed.append(_shuffled(rng, g.complement() if rng.random() < 0.5 else g))
+    graphs += composed
+    graphs += [_shuffled(rng, U.disjoint_union(a, b))
+               for a, b in zip(composed, composed[1:60])]
+    trees = []
+    for g in graphs:
+        try:
+            trees.append(U.decomposition_tree(g))
+        except U.TheoremViolationError:
+            pass
+    return trees
+
+
+def test_searches_run_once_at_each_topmost_candled_node(uncluttered_census, rng,
+                                                         monkeypatch):
+    """The fork and antifork searches run at a node that reaches the
+    candled probes and has no such node above it, once, and nowhere else:
+    never on a tree without a candled node."""
+    import uncluttered.decompose as D
+    trees = _candled_trees(rng, uncluttered_census)
+    searched = []
+    holds = D._holds_fork_or_antifork
+
+    def recording(adj, part):
+        assert part == (1 << len(adj)) - 1
+        searched.append(Graph.from_rows(adj))
+        return holds(adj, part)
+
+    monkeypatch.setattr(D, "_holds_fork_or_antifork", recording)
+    shapes = {}
+    for tree in trees:
+        searched.clear()
+        assert U.decomposition_tree(tree.graph) == tree
+        topmost = [t.graph for t, above in _nodes(tree)
+                   if t.certificate.case.endswith("CANDLED") and not above]
+        assert searched == topmost, U.to_graph6(tree.graph)
+        nested = any(above and t.certificate.case.endswith("CANDLED") and t.children
+                     for t, above in _nodes(tree))
+        key = (min(len(topmost), 2), nested)
+        shapes[key] = shapes.get(key, 0) + 1
+    # trees with no, one and two topmost candled nodes, and with a candled
+    # node below another, which is searched no more
+    assert {(0, False), (1, False), (2, False), (1, True)} <= set(shapes), shapes
+
+
+def test_tree_skips_only_what_its_parent_has_proven(uncluttered_census, rng, monkeypatch):
+    """Each node the tree is told is a member, connected or co-connected is
+    so; and dropping those facts, so that every node is swept twice and
+    every candled node searched, gives the same trees."""
+    import uncluttered.decompose as D
+    trees = _candled_trees(rng, uncluttered_census)
+    member_tree = D._member_tree
+    proven = {"member": 0, "connected": 0, "anticonnected": 0}
+
+    def checking(root, g, member, connected=False, anticonnected=False):
+        assert not member or U.is_uncluttered(g) is None
+        assert not connected or g.is_connected()
+        assert not anticonnected or g.is_anticonnected()
+        proven["member"] += member
+        proven["connected"] += connected
+        proven["anticonnected"] += anticonnected
+        return member_tree(root, g, member, connected, anticonnected)
+
+    monkeypatch.setattr(D, "_member_tree", checking)
+    assert [U.decomposition_tree(t.graph) for t in trees] == trees
+    assert min(proven.values()) > 100, proven
+    monkeypatch.setattr(D, "_member_tree", lambda root, g, *proven: member_tree(root, g, False))
+    assert [U.decomposition_tree(t.graph) for t in trees] == trees

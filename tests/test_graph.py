@@ -10,8 +10,8 @@ import hypothesis.strategies as st
 import uncluttered as U
 from uncluttered import Graph, InputError
 from uncluttered.graph import (
-    MAX_VERTICES, _component_masks, _is_clique_mask, _mask_to_tuple, _refine,
-    invariant_key)
+    MAX_VERTICES, _component_masks, _induced, _is_clique_mask, _mask_to_tuple,
+    _refine, invariant_key)
 
 from oracles import naive_components, naive_isomorphic, random_graph
 
@@ -203,6 +203,26 @@ def test_induced_agrees_with_a_pairwise_copy(rng):
         if n:
             with pytest.raises(InputError):
                 g.induced(vs + [n])
+
+
+def test_induced_kernel_agrees_with_the_method(rng):
+    """The mask kernel that the decomposition tree calls is the one behind
+    Graph.induced: on seeded graphs up to 64 vertices it gives the method's
+    graph, and the pairwise copy's, for the empty mask, each single vertex,
+    both alternating masks, each full mask minus one vertex and random
+    masks; on the full mask it gives the graph itself, by value."""
+    for n in (1, 2, 5, 17, 33, 63, MAX_VERTICES):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            full = g.full_mask
+            alternating = int("01" * 32, 2)
+            masks = [0, alternating & full, alternating >> 1 & full]
+            masks += [1 << v for v in range(n)] + [full ^ 1 << v for v in range(n)]
+            masks += [rng.getrandbits(n) for _ in range(5)]
+            for mask in masks:
+                vs = _mask_to_tuple(mask)
+                assert _induced(g.adj, mask) == g.induced(vs) == _naive_induced(g, vs)
+            assert _induced(g.adj, full) == g
             with pytest.raises(InputError):
                 g.induced(list(range(n)) + [-1])
     # only ints name vertices: a bool is refused even where set() would
