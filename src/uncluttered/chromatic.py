@@ -24,6 +24,21 @@ from one sweep of the rows (read complemented for anticomponents, so no
 complement is built), and a leaf's root comes from the input's rows, or
 the complement's, within the leaf's mask.
 
+The recursion also proves membership, so no recognition pass runs up
+front.  The fork and the antifork are connected and co-connected, so a
+part is a member exactly when its components are, and exactly when its
+anticomponents are.  The first part on each branch that both sweeps leave
+whole and that has at least five vertices is thus one of the parts that
+membership decides (patterns._parts), and the same search decides it here
+(patterns._holds_fork_or_antifork).  The check sits there, above the
+simplicial and twin removals, because a removal carries membership one way
+only: a member stays one without a vertex, but a part can be a member
+without its simplicial vertex and not with it, as adding a simplicial
+vertex can complete a fork.  Everything below a cleared part is an induced
+subgraph of a member, hence a member.  On a hit, or on a part that no rule
+colors, is_uncluttered runs once on the whole input, so a non-member gets
+the least witness that an up-front check would give.
+
 The exact clique and chromatic oracles audit that construction and feed
 nothing into it; both search bitmasks and are meant for n well under twenty.
 The clique search is branch and bound; the chromatic search backtracks over
@@ -32,13 +47,13 @@ one vertex mask per color class, for palette sizes up from the clique number.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import InputError, NotUnclutteredError, TheoremViolationError
-from .graph import Graph, _component_masks, _mask_to_tuple
+from .graph import Graph, _complement_rows, _component_masks, _mask_to_tuple
 from .graphio import to_graph6
 from .modular import _nonadjacent_twins_in, _simplicial_in
-from .patterns import is_uncluttered
+from .patterns import _holds_fork_or_antifork, is_uncluttered
 from .structure import _line_root
 
 
@@ -343,18 +358,23 @@ def _compress(raw: list[int]) -> list[int]:
 # -- the constructive theorem colorer ----------------------------------------
 
 
-def _color_on(g: Graph, within: int, cols: list[int], base: int,
+def _color_on(g: Graph, within: int, cols: list[int], base: int, member: bool,
               connected: bool = False, anticonnected: bool = False) -> tuple[int, int]:
     """Color g induced on ``within`` into ``cols`` with the palette
-    base..base+k-1 and return k and the clique number of that part.
+    base..base+k-1 and return k and the clique number of that part;
+    NotUnclutteredError with g's least witness when the part holds a fork
+    or an antifork.
 
-    ``connected`` and ``anticonnected`` say what the caller has proven of
-    the part, and skip the sweep that would only confirm it: a component is
-    connected and an anticomponent co-connected; removing a simplicial
-    vertex, whose neighbours form a clique, keeps a part connected; and
-    removing one of two nonadjacent twins keeps it connected and
-    co-connected, as the other twin takes its place in every path of g and
-    of the complement.
+    ``member``, ``connected`` and ``anticonnected`` say what the caller has
+    proven of the part.  A part not known to be a member is decided once it
+    is connected and co-connected, before any removal (see the module
+    docstring), and a part it clears tells everything below it that it is
+    one.  The other two skip the sweep that would only confirm them: a
+    component is connected and an anticomponent co-connected; removing a
+    simplicial vertex, whose neighbours form a clique, keeps a part
+    connected; and removing one of two nonadjacent twins keeps it connected
+    and co-connected, as the other twin takes its place in every path of g
+    and of the complement.
 
     The rules are total on members: a connected, co-connected part falls
     to a non-disconnected case of the decomposition theorem, and each case
@@ -372,7 +392,7 @@ def _color_on(g: Graph, within: int, cols: list[int], base: int,
         if len(comps) > 1:
             k = omega = 0
             for part in comps:
-                kp, wp = _color_on(g, part, cols, base, True)
+                kp, wp = _color_on(g, part, cols, base, member, True)
                 k, omega = max(k, kp), max(omega, wp)
             return k, omega
     if not anticonnected:
@@ -380,12 +400,14 @@ def _color_on(g: Graph, within: int, cols: list[int], base: int,
         if len(anti) > 1:
             k = omega = 0
             for part in anti:
-                kp, wp = _color_on(g, part, cols, base + k, False, True)
+                kp, wp = _color_on(g, part, cols, base + k, member, False, True)
                 k, omega = k + kp, omega + wp
             return k, omega
+    if not member and within.bit_count() >= 5 and _holds_fork_or_antifork(g.adj, within):
+        _refuse(g, within)
     v = _simplicial_in(g.adj, within)
     if v is not None:
-        k, omega = _color_on(g, within & ~(1 << v), cols, base, True)
+        k, omega = _color_on(g, within & ~(1 << v), cols, base, True, True)
         near = g.adj[v] & within
         taken = {cols[w] for w in _mask_to_tuple(near)}
         c = base
@@ -396,7 +418,7 @@ def _color_on(g: Graph, within: int, cols: list[int], base: int,
     pair = _nonadjacent_twins_in(g.adj, within)
     if pair is not None:
         u, v = pair
-        k, omega = _color_on(g, within & ~(1 << u), cols, base, True, True)
+        k, omega = _color_on(g, within & ~(1 << u), cols, base, True, True, True)
         cols[u] = cols[v]
         return k, omega
     found = _line_root(g.adj, within)
@@ -406,11 +428,9 @@ def _color_on(g: Graph, within: int, cols: list[int], base: int,
         raw = _compress([ec.assignment[e] for e in edge_map])
         omega = max(row.bit_count() for row in root)
     else:
-        found = _line_root([within & ~r & ~(1 << v) for v, r in enumerate(g.adj)], within)
+        found = _line_root(_complement_rows(g.adj, within), within)
         if found is None:
-            h = g.induced(_mask_to_tuple(within))
-            raise TheoremViolationError(
-                f"uncluttered graph {to_graph6(h)!r} fell through the coloring recursion")
+            _refuse(g, within)
         root, edge_map = found
         raw = _compress(_cover_colors(root, edge_map))
         omega = _max_matching(root)
@@ -419,17 +439,31 @@ def _color_on(g: Graph, within: int, cols: list[int], base: int,
     return max(raw) + 1, omega
 
 
-def color_uncluttered(g: Graph) -> Coloring:
-    """Proper coloring of an uncluttered graph with at most 2*omega colors,
-    omega read from the coloring recursion."""
+def _refuse(g: Graph, within: int) -> NoReturn:
+    """Raise g's least witness; on a member g, whose part ``within`` no
+    rule colors, a theorem violation instead."""
     witness = is_uncluttered(g)
     if witness is not None:
         raise NotUnclutteredError(witness)
-    return _color_member(g)
+    h = g.induced(_mask_to_tuple(within))
+    raise TheoremViolationError(
+        f"uncluttered graph {to_graph6(h)!r} fell through the coloring recursion")
 
 
-def _color_member(g: Graph) -> Coloring:
-    """color_uncluttered on a g already known to be uncluttered."""
+def color_uncluttered(g: Graph) -> Coloring:
+    """Proper coloring of an uncluttered graph with at most 2*omega colors,
+    omega read from the coloring recursion; NotUnclutteredError with the
+    least witness otherwise.
+
+    No recognition pass runs up front: the recursion decides membership at
+    the parts that membership itself decides (see the module docstring).
+    """
+    return _color_member(g, False)
+
+
+def _color_member(g: Graph, member: bool = True) -> Coloring:
+    """color_uncluttered, on a g already known to be uncluttered unless
+    ``member`` is False."""
     cols = [0] * g.n
-    num, omega = _color_on(g, g.full_mask, cols, 0)
+    num, omega = _color_on(g, g.full_mask, cols, 0, member)
     return Coloring(tuple(cols), num, omega)

@@ -18,7 +18,8 @@ class NotUnclutteredError(ValueError):
 
 
 class TheoremViolationError(RuntimeError):
-    """An uncluttered graph matched no decomposition case.
+    """An uncluttered graph matched no decomposition case, or a part of one
+    fell through the coloring recursion.
 
     This should be impossible; seeing it means either a bug or a genuine
     counterexample, so the offending graph is named loudly.

@@ -132,12 +132,7 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def complement(self) -> "Graph":
-        full = self.full_mask
-        # A list, not a generator: tuple() of a generator allocates a guessed
-        # size and resizes, which slowly fills CPython's per-size tuple free
-        # lists and raises the process's resident memory over a long run.
-        return Graph.from_rows([(full ^ self.adj[u]) & ~(1 << u) & full
-                                for u in range(self.n)])
+        return Graph.from_rows(_complement_rows(self.adj, self.full_mask))
 
     def induced(self, vs: Iterable[int]) -> "Graph":
         """Subgraph induced on ``vs``, relabeled to 0..k-1 in ascending order;
@@ -211,6 +206,15 @@ def _induced(adj: tuple[int, ...], keep: int) -> Graph:
                 new |= (row & mask) >> shift
             rows.append(new)
     return Graph.from_rows(rows)
+
+
+def _complement_rows(rows: tuple[int, ...] | list[int], within: int) -> list[int]:
+    """The complement's rows within the vertex mask ``within``, and 0 for
+    each vertex outside it.  A list, not a generator: tuple() of a generator
+    allocates a guessed size and resizes, which slowly fills CPython's
+    per-size tuple free lists and raises the process's resident memory over
+    a long run."""
+    return [within & ~(r | 1 << v) if within >> v & 1 else 0 for v, r in enumerate(rows)]
 
 
 def _is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:

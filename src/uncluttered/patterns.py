@@ -25,7 +25,8 @@ recovers their roots decides them in O(n) (structure._line_root).  A part
 the walk rejects gets one bitset fork search and one bitset antifork search
 over all of its vertices, both polynomial in n.  One function decides a
 part so (_holds_fork_or_antifork), and decompose calls it too, on the
-nodes of a decomposition tree that reach the candled probes.
+nodes of a decomposition tree that reach the candled probes, as does the
+coloring recursion, on these same parts.
 
 Only a non-member pays for the witness scan, and only in the parts whose
 searches hit; the least of their first witnesses is the lexicographically
@@ -48,7 +49,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InputError
-from .graph import Graph, _component_masks, _is_clique_mask, _mask_to_tuple
+from .graph import Graph, _complement_rows, _component_masks, _is_clique_mask, _mask_to_tuple
 from .structure import _line_root
 
 PATTERN_NAMES = ("fork", "antifork", "claw", "anticlaw", "diamond",
@@ -295,8 +296,7 @@ def _holds_fork_or_antifork(adj: tuple[int, ...], part: int) -> bool:
         rows = [r & part if part >> v & 1 else 0 for v, r in enumerate(adj)]
     k = part.bit_count()
     if 2 * sum(map(int.bit_count, rows)) > k * (k - 1):
-        rows = [part & ~r & ~(1 << v) if part >> v & 1 else 0
-                for v, r in enumerate(rows)]
+        rows = _complement_rows(adj, part)
     if _line_root(rows, part) is not None:
         return False
     return _has_fork(rows, part) or _has_antifork(rows, part)

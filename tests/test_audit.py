@@ -75,9 +75,17 @@ def test_chi_bound_colours_without_a_second_membership_check(monkeypatch):
         rec = audit_one(DHC, suites)
         assert "chi-bound" in rec["checked"] and rec["fails"] == []
     assert calls == []
-    # the public colourer still checks its input
+    # the public colourer proves membership as it colors: no recognition
+    # pass on a member, and one, on the whole input, for a non-member's
+    # least witness
     U.color_uncluttered(DHC)
-    assert calls == [DHC]
+    assert calls == []
+    beside = U.from_graph6("NT}w@o|nw??@?@??_?_")
+    for g in (DHO, beside, beside.complement()):
+        calls.clear()
+        with pytest.raises(U.NotUnclutteredError) as exc:
+            U.color_uncluttered(g)
+        assert calls == [g] and exc.value.witness == U.is_uncluttered(g)
 
 
 def test_audit_four_report_is_byte_frozen():

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import random
 
@@ -9,8 +10,10 @@ from uncluttered import Graph, InputError, NotUnclutteredError
 
 import uncluttered.chromatic as C
 from uncluttered.chromatic import _compress, _cover_colors, _max_matching
+from uncluttered.cli import main
 from uncluttered.graph import _mask_to_tuple
 from uncluttered.modular import _nonadjacent_twins_in, _simplicial_in
+from uncluttered.patterns import _parts
 from uncluttered.structure import _line_root
 
 from oracles import (
@@ -399,30 +402,103 @@ def test_color_uncluttered_runs_no_clique_search(uncluttered_census, rng, monkey
     assert [U.color_uncluttered(g) for g in graphs] == expected
 
 
-def test_colorer_skips_only_sweeps_its_caller_has_proven(uncluttered_census, rng, monkeypatch):
-    """Each part the colorer is told is connected, or co-connected, is so;
-    and dropping those facts, so that every part is swept twice, gives the
-    same colorings on the census members and on large members."""
-    graphs = [g for n in range(8) for g in uncluttered_census[n]]
-    graphs += _large_members(rng, 30)
-    expected = [U.color_uncluttered(g) for g in graphs]
+def _color_outcome(g):
+    """The coloring of g, or the witness color_uncluttered refuses it with."""
+    try:
+        return U.color_uncluttered(g)
+    except NotUnclutteredError as exc:
+        return exc.witness
+
+
+def _near_members(rng, members):
+    """Each member with one more vertex, joined to each vertex with
+    probability 0.3; most hold a fork or an antifork."""
+    return [Graph(g.n + 1, g.edges() + [(v, g.n) for v in range(g.n) if rng.random() < 0.3])
+            for g in members]
+
+
+def test_colorer_skips_only_sweeps_its_caller_has_proven(census, rng, monkeypatch):
+    """Each part the colorer is told is a member holds no fork or antifork,
+    and each part it is told is connected, or co-connected, is so; and
+    dropping those facts, so that every part is swept twice and searched
+    once it is connected and co-connected, gives the same colorings and
+    witnesses on the census, on large members and on near-members."""
+    graphs = [g for n in range(8) for g in census[n]]
+    large = _large_members(rng, 30)
+    graphs += large + _near_members(rng, large)
+    expected = [_color_outcome(g) for g in graphs]
+    assert sum(isinstance(out, U.PatternWitness) for out in expected) > 100
     color_on = C._color_on
+    told = {True: 0, False: 0}
     proven = {True: 0, False: 0}
 
-    def checking(g, within, cols, base, connected=False, anticonnected=False):
+    def checking(g, within, cols, base, member, connected=False, anticonnected=False):
         h = g.induced(_mask_to_tuple(within))
+        assert not member or U.is_uncluttered(h) is None
         assert not connected or h.is_connected()
         assert not anticonnected or h.is_anticonnected()
+        told[member] += 1
         proven[connected] += 1
         proven[anticonnected] += 1
-        return color_on(g, within, cols, base, connected, anticonnected)
+        return color_on(g, within, cols, base, member, connected, anticonnected)
 
     monkeypatch.setattr(C, "_color_on", checking)
-    assert [U.color_uncluttered(g) for g in graphs] == expected
-    assert min(proven.values()) > 100, proven
+    assert [_color_outcome(g) for g in graphs] == expected
+    assert min(told.values()) > 100 and min(proven.values()) > 100, (told, proven)
     monkeypatch.setattr(C, "_color_on", lambda g, within, cols, base, *proven:
-                        color_on(g, within, cols, base))
-    assert [U.color_uncluttered(g) for g in graphs] == expected
+                        color_on(g, within, cols, base, False))
+    assert [_color_outcome(g) for g in graphs] == expected
+
+
+# The connected regression IT}w@o|nw on vertices 0..9, beside a fork.
+REGRESSION_BESIDE_FORK = "NT}w@o|nw??@?@??_?_"
+
+
+def test_colorer_refuses_a_fork_found_after_coloring_a_part(monkeypatch, capsys):
+    """The colorer colors the regression, then meets the fork beside it and
+    raises the least witness of the whole input; in the complement the hit
+    lies inside an anticomponent.  The CLI prints the witness line that
+    decompose prints."""
+    g = U.from_graph6(REGRESSION_BESIDE_FORK)
+    assert U.color_uncluttered(g.induced(range(10))).num_colors > 0
+    with pytest.raises(NotUnclutteredError) as exc:
+        U.color_uncluttered(g)
+    assert exc.value.witness == U.PatternWitness("fork", (10, 11, 12, 13, 14))
+    gc = g.complement()
+    assert not gc.is_anticonnected()
+    with pytest.raises(NotUnclutteredError) as exc:
+        U.color_uncluttered(gc)
+    assert exc.value.witness == U.is_uncluttered(gc)
+    lines = {}
+    for cmd in ("color", "decompose"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(REGRESSION_BESIDE_FORK + "\n"))
+        assert main([cmd]) == 0
+        lines[cmd] = capsys.readouterr().out
+    assert lines["color"] == lines["decompose"] == (
+        '{"graph6":"NT}w@o|nw??@?@??_?_","uncluttered":false,'
+        '"witness":{"pattern":"fork","embedding":[10,11,12,13,14]}}\n')
+
+
+def test_colorer_searches_each_membership_part_once(uncluttered_census, rng, monkeypatch):
+    """On members, the public colorer runs the fork and antifork searches
+    once on each part that membership decides (patterns._parts), and the
+    audit's _color_member runs them on none."""
+    graphs = [g for n in range(5, 8) for g in uncluttered_census[n]]
+    graphs += _large_members(rng, 30)
+    searched = []
+    holds = C._holds_fork_or_antifork
+
+    def recording(adj, part):
+        searched.append(part)
+        return holds(adj, part)
+
+    monkeypatch.setattr(C, "_holds_fork_or_antifork", recording)
+    for g in graphs:
+        searched.clear()
+        coloring = U.color_uncluttered(g)
+        assert sorted(searched) == sorted(_parts(g.adj, g.full_mask, g.full_mask))
+        searched.clear()
+        assert C._color_member(g) == coloring and searched == []
 
 
 def _tree_nodes(tree):

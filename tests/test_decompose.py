@@ -29,6 +29,11 @@ CENSUS_CERTIFICATES_SHA256 = (
 # when the tree still recognized membership up front.
 TREE_OUTCOMES_SHA256 = (
     "951c787da9eb7a6f7c137af175ef25bda0170dd4f7759896f4864c8dcbd19c25")
+# SHA-256 of the color_uncluttered outcome (coloring JSON or witness JSON)
+# of every graph in _agreement_graphs, taken when the colorer still
+# recognized membership up front.
+COLOR_OUTCOMES_SHA256 = (
+    "d3c30dac9abcdcc15429510ced3f83e563d6871eb762b49567626edbe8c43997")
 
 
 def test_case_tuples_are_fixed():
@@ -642,6 +647,23 @@ def test_tree_outcomes_are_frozen(census):
     assert kinds.count('{"') + kinds.count("Th") == len(lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TREE_OUTCOMES_SHA256
+
+
+def _color_outcome(g):
+    try:
+        return json.dumps(U.color_uncluttered(g).to_json_dict(), separators=(",", ":"))
+    except U.NotUnclutteredError as exc:
+        return json.dumps(_witness_json(exc.witness), separators=(",", ":"))
+
+
+def test_color_outcomes_are_frozen(census):
+    """Colorings and witnesses are byte for byte what they were when
+    membership was checked before the colorer ran."""
+    lines = [f"{U.to_graph6(g)} {_color_outcome(g)}" for g in _agreement_graphs(census)]
+    kinds = [line.split(" ", 1)[1][:3] for line in lines]
+    assert kinds.count('{"c') > 1000 and kinds.count('{"p') > 1000
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == COLOR_OUTCOMES_SHA256
 
 
 def _nodes(tree, above=False):
